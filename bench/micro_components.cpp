@@ -8,10 +8,13 @@
 // follows google-benchmark's schema, not itb.telemetry.v1.
 #include <benchmark/benchmark.h>
 
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "itb/telemetry/export.hpp"
+#include "itb/telemetry/metrics.hpp"
+#include "itb/telemetry/sampler.hpp"
 
 #include "itb/core/cluster.hpp"
 #include "itb/mapper/mapper.hpp"
@@ -185,6 +188,58 @@ void BM_SimulatedPingPong(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedPingPong);
+
+// Per-host metric names in the shape Nic::register_metrics uses: a handful
+// of names repeated under one host label per NIC.
+constexpr const char* kSlotNames[] = {
+    "sent",          "received",          "delivered_to_host",
+    "itb_forwarded", "itb_pending_hits",  "dropped_no_buffer",
+    "rx_bad_crc",    "dropped_unroutable", "resourced_sends",
+    "rx_aborted"};
+constexpr int kSlotNameCount = std::size(kSlotNames);
+
+// Cluster set-up registers one slot per (layer, counter, host). per_slot,
+// the host time per registration, must stay flat from 1000 to 42000 slots
+// (the ft16 cluster's count): a registration cost that grows with the
+// registry makes set-up quadratic in fabric size.
+void BM_MetricRegistryRegister(benchmark::State& state) {
+  const auto slots = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    telemetry::MetricRegistry reg;
+    for (int i = 0; i < slots; ++i)
+      reg.register_source("nic", kSlotNames[i % kSlotNameCount],
+                          telemetry::MetricKind::kCounter, [] { return 0.0; },
+                          {.host = i / kSlotNameCount, .channel = -1});
+    benchmark::DoNotOptimize(reg.size());
+  }
+  state.SetItemsProcessed(state.iterations() * slots);
+  state.counters["per_slot"] = benchmark::Counter(
+      static_cast<double>(slots),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MetricRegistryRegister)->Arg(1000)->Arg(10000)->Arg(42000);
+
+// The sampler's per-channel/per-host probes, same flatness contract.
+void BM_SamplerAddProbe(benchmark::State& state) {
+  const auto probes = static_cast<int>(state.range(0));
+  sim::EventQueue q;
+  sim::Tracer tracer;
+  for (auto _ : state) {
+    telemetry::Sampler sampler(q, tracer);
+    for (int i = 0; i < probes; ++i)
+      sampler.add_probe(kSlotNames[i % kSlotNameCount],
+                        {.host = -1, .channel = i / kSlotNameCount},
+                        telemetry::Sampler::Mode::kRate, [] { return 0.0; });
+    benchmark::DoNotOptimize(sampler.series().size());
+  }
+  state.SetItemsProcessed(state.iterations() * probes);
+  state.counters["per_probe"] = benchmark::Counter(
+      static_cast<double>(probes),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SamplerAddProbe)->Arg(1000)->Arg(10000)->Arg(42000);
 
 }  // namespace
 

@@ -1,5 +1,7 @@
 #include "itb/telemetry/metrics.hpp"
 
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
 
 namespace itb::telemetry {
@@ -12,6 +14,33 @@ const char* to_string(MetricKind k) {
   return "?";
 }
 
+std::string to_string(Labels l) {
+  return "{host=" + std::to_string(l.host) +
+         ", channel=" + std::to_string(l.channel) + "}";
+}
+
+namespace {
+
+// splitmix64 finaliser: spreads a combined word over all 64 bits.
+std::uint64_t mix(std::uint64_t x) noexcept {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
+std::size_t hash_key(std::string_view component, std::string_view name,
+                     Labels labels) noexcept {
+  const std::hash<std::string_view> h;
+  const std::uint64_t lab =
+      (std::uint64_t{static_cast<std::uint32_t>(labels.host)} << 32) |
+      static_cast<std::uint32_t>(labels.channel);
+  return mix(mix(mix(h(component)) ^ h(name)) ^ lab);
+}
+
 double MetricRegistry::Slot::read() const {
   if (source) return source();
   return kind == MetricKind::kCounter ? static_cast<double>(counter_value)
@@ -21,13 +50,15 @@ double MetricRegistry::Slot::read() const {
 MetricRegistry::Slot& MetricRegistry::add_slot(std::string component,
                                                std::string name,
                                                MetricKind kind, Labels labels) {
-  for (const auto& s : slots_)
-    if (s.component == component && s.name == name && s.labels == labels)
-      throw std::invalid_argument("metric already registered: " + component +
-                                  "." + name);
-  slots_.push_back(Slot{std::move(component), std::move(name), labels, kind,
-                        0, 0.0, nullptr});
-  return slots_.back();
+  auto& slot = slots_.emplace_back(Slot{std::move(component), std::move(name),
+                                        labels, kind, 0, 0.0, nullptr});
+  if (!index_.insert(&slot).second) {
+    const std::string what = "metric already registered: " + slot.component +
+                             "." + slot.name + " " + to_string(labels);
+    slots_.pop_back();
+    throw std::invalid_argument(what);
+  }
+  return slot;
 }
 
 Counter MetricRegistry::counter(std::string component, std::string name,
@@ -64,10 +95,9 @@ std::vector<MetricSample> MetricRegistry::snapshot() const {
 std::optional<double> MetricRegistry::value(std::string_view component,
                                             std::string_view name,
                                             Labels labels) const {
-  for (const auto& s : slots_)
-    if (s.component == component && s.name == name && s.labels == labels)
-      return s.read();
-  return std::nullopt;
+  const auto it = index_.find(Key{component, name, labels});
+  if (it == index_.end()) return std::nullopt;
+  return (*it)->read();
 }
 
 }  // namespace itb::telemetry

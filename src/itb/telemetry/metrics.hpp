@@ -21,6 +21,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace itb::telemetry {
@@ -39,6 +40,16 @@ enum class MetricKind : std::uint8_t {
 };
 
 const char* to_string(MetricKind k);
+
+/// "{host=3, channel=-1}": names one instance of a per-host/per-channel
+/// metric in error messages.
+std::string to_string(Labels l);
+
+/// Hash of one metric key. The index hashes each field separately, so
+/// ("a", "bc") and ("ab", "c") do not collide by construction, and host and
+/// channel are not interchangeable.
+std::size_t hash_key(std::string_view component, std::string_view name,
+                     Labels labels) noexcept;
 
 /// Handle to a registry-owned counter. Copyable, trivially cheap; a
 /// default-constructed handle is inert (all operations no-ops).
@@ -115,6 +126,11 @@ class MetricRegistry {
   std::size_t size() const { return slots_.size(); }
 
  private:
+  struct Key {
+    std::string_view component;
+    std::string_view name;
+    Labels labels;
+  };
   struct Slot {
     std::string component;
     std::string name;
@@ -127,11 +143,40 @@ class MetricRegistry {
     double read() const;
   };
 
+  static Key key(const Slot* s) { return {s->component, s->name, s->labels}; }
+  static const Key& key(const Key& k) { return k; }
+
+  // Transparent hash/equality: the index holds Slot pointers and is probed
+  // with a string_view Key, so no key string is ever copied. The hash is
+  // deliberately not noexcept: libstdc++ then stores each node's hash code,
+  // so a rehash never re-reads the slots and a probe compares codes before
+  // touching a slot's strings (the node still fits the allocator's minimum
+  // chunk, so this costs no memory).
+  struct KeyHash {
+    using is_transparent = void;
+    template <class T>
+    std::size_t operator()(const T& t) const {
+      const Key k = key(t);
+      return hash_key(k.component, k.name, k.labels);
+    }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      const Key x = key(a), y = key(b);
+      return x.labels == y.labels && x.name == y.name &&
+             x.component == y.component;
+    }
+  };
+
   Slot& add_slot(std::string component, std::string name, MetricKind kind,
                  Labels labels);
 
-  // deque: handles keep pointers into slots, so addresses must be stable.
+  // deque: handles and the index keep pointers into slots, so addresses
+  // must be stable; iteration order is registration order.
   std::deque<Slot> slots_;
+  std::unordered_set<const Slot*, KeyHash, KeyEq> index_;
 };
 
 }  // namespace itb::telemetry

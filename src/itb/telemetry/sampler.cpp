@@ -6,22 +6,26 @@ namespace itb::telemetry {
 
 Sampler::Sampler(sim::EventQueue& queue, sim::Tracer& tracer,
                  sim::Duration period)
-    : queue_(queue), tracer_(tracer), period_(period) {
+    : queue_(queue),
+      tracer_(tracer),
+      period_(period),
+      index_(0, KeyOps{&series_}, KeyOps{&series_}) {
   if (period_ <= 0) throw std::invalid_argument("sampler period must be > 0");
 }
 
 void Sampler::add_probe(std::string name, Labels labels, Mode mode,
                         Probe probe, double scale) {
   if (!probe) throw std::invalid_argument("sampler probe must be callable");
-  for (const auto& s : series_)
-    if (s.name == name && s.labels == labels)
-      throw std::invalid_argument("sampler probe already registered: " + name);
+  if (index_.contains(Key{name, labels}))
+    throw std::invalid_argument("sampler probe already registered: " + name +
+                                " " + to_string(labels));
   Series s;
   s.name = std::move(name);
   s.labels = labels;
   s.mode = mode;
   s.scale = scale;
   series_.push_back(std::move(s));
+  index_.insert(series_.size() - 1);
   probes_.push_back(std::move(probe));
   prev_.push_back(0.0);
 }
@@ -112,9 +116,8 @@ void Sampler::stop() {
 
 const Sampler::Series* Sampler::find(std::string_view name,
                                      Labels labels) const {
-  for (const auto& s : series_)
-    if (s.name == name && s.labels == labels) return &s;
-  return nullptr;
+  const auto it = index_.find(Key{name, labels});
+  return it == index_.end() ? nullptr : &series_[*it];
 }
 
 void Sampler::clear_samples() {

@@ -29,6 +29,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "itb/sim/event_queue.hpp"
@@ -54,6 +55,9 @@ class Sampler {
 
   Sampler(sim::EventQueue& queue, sim::Tracer& tracer,
           sim::Duration period = 100 * sim::kUs);
+  // Pinned: the probe index's hasher points at series_.
+  Sampler(const Sampler&) = delete;
+  Sampler& operator=(const Sampler&) = delete;
 
   /// Register a probe. Must not collide with an existing {name, labels}.
   void add_probe(std::string name, Labels labels, Mode mode, Probe probe,
@@ -92,6 +96,35 @@ class Sampler {
   void clear_samples();
 
  private:
+  struct Key {
+    std::string_view name;
+    Labels labels;
+  };
+
+  // Transparent hash/equality over indices into series_ (indices, not
+  // pointers: the vector moves when it grows), probed with a Key. The hash
+  // is not noexcept for the reason given at MetricRegistry::KeyHash.
+  struct KeyOps {
+    using is_transparent = void;
+    const std::vector<Series>* series;
+
+    Key key(std::size_t i) const {
+      return {(*series)[i].name, (*series)[i].labels};
+    }
+    static const Key& key(const Key& k) { return k; }
+
+    template <class T>
+    std::size_t operator()(const T& t) const {
+      const Key k = key(t);
+      return hash_key({}, k.name, k.labels);
+    }
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      const Key x = key(a), y = key(b);
+      return x.labels == y.labels && x.name == y.name;
+    }
+  };
+
   void arm();
   void tick();
   void sample_all(sim::Time t);
@@ -100,6 +133,7 @@ class Sampler {
   sim::Tracer& tracer_;
   sim::Duration period_;
   std::vector<Series> series_;
+  std::unordered_set<std::size_t, KeyOps, KeyOps> index_;
   std::vector<Probe> probes_;       // parallel to series_
   std::vector<double> prev_;        // last polled raw value, per probe
   sim::Time prev_at_ = 0;           // time of the last poll

@@ -3,6 +3,10 @@
 // ping-pong and load harnesses.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <tuple>
+
 #include "itb/core/experiments.hpp"
 #include "itb/core/parallel.hpp"
 #include "itb/workload/load.hpp"
@@ -44,6 +48,40 @@ TEST(Cluster, InvalidTopologyThrows) {
   cfg.topology.add_switch(4);
   cfg.topology.add_host();  // unattached
   EXPECT_THROW(core::Cluster c(std::move(cfg)), std::logic_error);
+}
+
+TEST(Cluster, Ft8RegistryKeysAreUniqueAndReadTheirOwnNic) {
+  // Every layer registers through the registry's hashed index; on a
+  // 128-host fabric each per-host key must resolve to its own host.
+  core::ClusterConfig cfg;
+  cfg.topology = topo::make_fat_tree(8);
+  cfg.policy = routing::Policy::kItb;
+  core::Cluster c(std::move(cfg));
+  const auto& reg = c.telemetry().registry();
+  const auto n = static_cast<std::uint16_t>(c.host_count());
+  ASSERT_EQ(n, 128u);
+
+  std::set<std::tuple<std::string, std::string, int, int>> keys;
+  for (const auto& s : reg.snapshot())
+    keys.emplace(s.component, s.name, s.labels.host, s.labels.channel);
+  EXPECT_EQ(keys.size(), reg.size());
+
+  // Uneven load so that no two NICs' counters coincide by accident.
+  int delivered = 0, sent = 0;
+  for (std::uint16_t h = 0; h < n; ++h)
+    c.port(h).set_receive_handler(
+        [&](sim::Time, std::uint16_t, Bytes) { ++delivered; });
+  for (std::uint16_t h = 0; h < n; ++h)
+    for (int m = 0; m < h % 5; ++m, ++sent)
+      c.port(h).send(static_cast<std::uint16_t>((h + 1 + m * 29) % n),
+                     Bytes(256, 1));
+  c.run();
+  EXPECT_EQ(delivered, sent);
+  for (std::uint16_t h = 0; h < n; ++h) {
+    const double want = static_cast<double>(c.nic(h).stats().sent);
+    EXPECT_EQ(reg.value("nic", "sent", {.host = h, .channel = -1}), want)
+        << "host " << h;
+  }
 }
 
 TEST(PingPong, ProducesPositiveLatency) {

@@ -185,6 +185,80 @@ TEST(MetricRegistry, DuplicateRegistrationThrows) {
                                    [] { return 0.0; },
                                    {.host = 1, .channel = -1}),
                std::invalid_argument);
+  reg.gauge("gm", "tokens", {.host = 7, .channel = 3});
+  EXPECT_THROW(reg.gauge("gm", "tokens", {.host = 7, .channel = 3}),
+               std::invalid_argument);
+  // The message names which of many same-named metrics collided.
+  try {
+    reg.counter("gm", "tokens", {.host = 7, .channel = 3});
+    FAIL() << "duplicate accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "metric already registered: gm.tokens {host=7, channel=3}");
+  }
+  // A rejected registration leaves nothing behind.
+  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.snapshot().size(), 3u);
+}
+
+TEST(MetricRegistry, NoFalseCollisionAcrossFieldBoundariesOrLabels) {
+  telemetry::MetricRegistry reg;
+  reg.counter("a", "bc").inc(1);
+  reg.counter("ab", "c").inc(2);
+  reg.counter("x", "m", {.host = 1, .channel = -1}).inc(3);
+  reg.counter("x", "m", {.host = -1, .channel = 1}).inc(4);
+  EXPECT_EQ(reg.value("a", "bc"), 1.0);
+  EXPECT_EQ(reg.value("ab", "c"), 2.0);
+  EXPECT_EQ(reg.value("x", "m", {.host = 1, .channel = -1}), 3.0);
+  EXPECT_EQ(reg.value("x", "m", {.host = -1, .channel = 1}), 4.0);
+  EXPECT_FALSE(reg.value("abc", "").has_value());
+  EXPECT_FALSE(reg.value("x", "m").has_value());
+  EXPECT_NE(telemetry::hash_key("a", "bc", {}),
+            telemetry::hash_key("ab", "c", {}));
+  EXPECT_NE(telemetry::hash_key("x", "m", {.host = 1, .channel = -1}),
+            telemetry::hash_key("x", "m", {.host = -1, .channel = 1}));
+}
+
+TEST(MetricRegistry, FiftyThousandSlotsLookUpTheirOwnValues) {
+  constexpr int kSlots = 50'000;
+  telemetry::MetricRegistry reg;
+  // Handles taken first must survive every later registration (the deque
+  // never moves a slot, however far the index rehashes).
+  std::vector<telemetry::Counter> early;
+  for (int i = 0; i < kSlots; ++i) {
+    const telemetry::Labels l{.host = i / 16, .channel = i % 16};
+    const std::string name = "m" + std::to_string(i % 7);
+    if (i % 3 == 0) {
+      reg.register_source("src", name, telemetry::MetricKind::kGauge,
+                          [i] { return static_cast<double>(i); }, l);
+    } else {
+      auto c = reg.counter("cnt", name, l);
+      c.inc(static_cast<std::uint64_t>(i));
+      if (early.size() < 100) early.push_back(c);
+    }
+  }
+  ASSERT_EQ(reg.size(), static_cast<std::size_t>(kSlots));
+  for (auto& c : early) c.inc(1'000'000);
+  for (int i = 0; i < kSlots; ++i) {
+    const telemetry::Labels l{.host = i / 16, .channel = i % 16};
+    const std::string name = "m" + std::to_string(i % 7);
+    const bool src = i % 3 == 0;
+    const bool bumped = !src && i <= 149;  // the first 100 counters
+    const double want = i + (bumped ? 1e6 : 0.0);
+    EXPECT_EQ(reg.value(src ? "src" : "cnt", name, l), want) << i;
+  }
+  EXPECT_FALSE(
+      reg.value("cnt", "m0", {.host = kSlots, .channel = 0}).has_value());
+  EXPECT_FALSE(
+      reg.value("cnt", "m7", {.host = 0, .channel = 0}).has_value());
+  EXPECT_FALSE(
+      reg.value("src", "m1", {.host = 0, .channel = 0}).has_value());
+  // Snapshot rows stay in registration order.
+  const auto snap = reg.snapshot();
+  for (int i = 0; i < kSlots; i += 997) {
+    EXPECT_EQ(snap[i].labels.host, i / 16);
+    EXPECT_EQ(snap[i].labels.channel, i % 16);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -378,6 +452,51 @@ TEST(Sampler, RateSeriesScaleAndLevelMode) {
   const auto* lvl = sampler.find("level");
   ASSERT_NE(lvl, nullptr);
   EXPECT_EQ(lvl->values.back(), level);
+}
+
+TEST(Sampler, DuplicateProbeThrowsDistinctLabelsKeepOrder) {
+  sim::EventQueue queue;
+  sim::Tracer tracer;
+  telemetry::Sampler sampler(queue, tracer, 100);
+  const auto level = telemetry::Sampler::Mode::kLevel;
+  // 2000 probes: enough that the index rehashes several times.
+  for (int i = 0; i < 2000; ++i)
+    sampler.add_probe("util", {.host = i / 8, .channel = i % 8}, level,
+                      [i] { return static_cast<double>(i); });
+  sampler.add_probe("util", {}, level, [] { return -1.0; });
+  sampler.add_probe("util", {.host = -1, .channel = 1}, level,
+                    [] { return -2.0; });
+  try {
+    sampler.add_probe("util", {.host = 3, .channel = 5}, level,
+                      [] { return 0.0; });
+    FAIL() << "duplicate accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "sampler probe already registered: util {host=3, channel=5}");
+  }
+  EXPECT_THROW(sampler.add_probe("util", {}, level, [] { return 0.0; }),
+               std::invalid_argument);
+
+  const auto& series = sampler.series();
+  ASSERT_EQ(series.size(), 2002u);
+  for (int i = 0; i < 2000; ++i) {
+    EXPECT_EQ(series[i].labels.host, i / 8);
+    EXPECT_EQ(series[i].labels.channel, i % 8);
+    EXPECT_EQ(sampler.find("util", {.host = i / 8, .channel = i % 8}),
+              &series[i]);
+  }
+  EXPECT_EQ(sampler.find("util"), &series[2000]);
+  EXPECT_EQ(sampler.find("util", {.host = -1, .channel = 1}), &series[2001]);
+  EXPECT_EQ(sampler.find("util", {.host = 1, .channel = -1}), nullptr);
+  EXPECT_EQ(sampler.find("utilx"), nullptr);
+
+  // Probes and series stay paired after the rejected registrations.
+  sampler.start();
+  queue.schedule_in(150, [] {});
+  queue.run();
+  sampler.stop();
+  EXPECT_EQ(series[1234].values.front(), 1234.0);
+  EXPECT_EQ(series[2001].values.front(), -2.0);
 }
 
 // ---------------------------------------------------------------------------
