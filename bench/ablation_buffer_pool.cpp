@@ -20,11 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
-#include "itb/telemetry/export.hpp"
+#include "itb/core/bench.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {
@@ -40,18 +37,13 @@ struct Outcome {
   /// drops this includes the retransmission stalls — the latency price of
   /// the smaller pool.
   telemetry::LatencyHistogram send_to_ack;
-  // Captured for --json runs, by value: the cluster dies with the run.
-  std::vector<telemetry::MetricSample> counters;
-  std::vector<telemetry::Sampler::Series> series;
-  health::LivenessVerdict liveness;  // --watchdog only
-  flight::Recording recording;       // --flight only
+  core::Capture capture;
 };
 
 /// Star topology stressing one in-transit host: four sources on switch 0,
 /// four sinks on switch 1; every route is forced through the ITB host h8
 /// on switch 0, so its NIC forwards every packet.
-Outcome run(int recv_buffers, bool drop_when_full, bool sample,
-            bool watchdog, const flight::RecorderConfig& frc) {
+Outcome run(int recv_buffers, bool drop_when_full, const core::Bench& bench) {
   topo::Topology topo;
   topo.add_switch(16);
   topo.add_switch(16);
@@ -79,11 +71,11 @@ Outcome run(int recv_buffers, bool drop_when_full, bool sample,
     r[d][s] = {{1, static_cast<std::uint8_t>(2 + s)}};
   }
   cfg.manual_routes = std::move(r);
-  cfg.watchdog.enabled = watchdog;
-  cfg.flight = frc;
+  bench.arm(cfg);
   core::Cluster cluster(std::move(cfg));
 
   Outcome out;
+  const bool sample = bench.json();
   if (sample) cluster.telemetry().start_sampling();
 
   // Each source sends 30 x 2 KB messages as fast as tokens allow.
@@ -121,27 +113,18 @@ Outcome run(int recv_buffers, bool drop_when_full, bool sample,
     out.retransmissions += cluster.port(s).stats().retransmissions;
   if (remaining != 0) out.makespan = -1;  // did not complete (diagnostic)
 
-  if (sample) {
-    cluster.telemetry().stop_sampling();
-    out.counters = cluster.telemetry().registry().snapshot();
-    out.series = cluster.telemetry().sampler().series();
-  }
-  if (watchdog) out.liveness = cluster.health()->verdict();
-  if (cluster.flight()) out.recording = cluster.flight()->snapshot();
+  if (sample) cluster.telemetry().stop_sampling();
+  out.capture = bench.capture(cluster, sample);
   return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
-  telemetry::BenchReport report("ablation_buffer_pool");
+  core::Bench bench("ablation_buffer_pool", argc, argv, core::Bench::kSweep);
+  telemetry::BenchReport& report = bench.report();
   report.set_param("messages", 4 * 30);
   report.set_param("message_bytes", 2048);
-  telemetry::BenchReport* rp = json_path ? &report : nullptr;
 
   std::printf("Ablation: receive buffering at the in-transit host\n");
   std::printf("(4 sources -> 4 sinks, every packet forwarded by one ITB "
@@ -158,21 +141,16 @@ int main(int argc, char** argv) {
     for (int buffers : {2, 4, 8, 16}) configs.push_back({drop, buffers});
 
   // Eight independent clusters; fan out, then print/report in config order.
-  auto outcomes = core::run_sweep_parallel(
+  auto outcomes = sim::run_sweep_parallel(
       configs.size(),
       [&](std::size_t i) {
-        return run(configs[i].buffers, configs[i].drop, rp != nullptr,
-                   watchdog, fcli.recorder());
+        return run(configs[i].buffers, configs[i].drop, bench);
       },
-      jobs);
+      bench.jobs());
 
-  flight::BenchFlight bflight(fcli);
-  health::LivenessVerdict liveness;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const auto& [drop, buffers] = configs[i];
     Outcome& o = outcomes[i];
-    liveness.merge(o.liveness);
-    if (fcli.enabled) bflight.add(std::move(o.recording));
     const std::string mode = drop ? "drop" : "backpressure";
     const std::string tag = mode + "_b" + std::to_string(buffers);
     std::printf("%8d %12s | %12.1f %8llu %10llu %10llu\n", buffers,
@@ -180,11 +158,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(o.drops),
                 static_cast<unsigned long long>(o.retransmissions),
                 static_cast<unsigned long long>(o.itb_forwarded));
-    if (rp) {
-      rp->add_histogram("send_to_ack", tag, o.send_to_ack);
-      rp->add_counters(tag, std::move(o.counters));
-      rp->add_series(tag, std::move(o.series));
-    }
+    report.add_histogram("send_to_ack", tag, o.send_to_ack);
+    bench.add(std::move(o.capture), tag);
     telemetry::BenchReport::Row row;
     row.text["mode"] = mode;
     row.num["buffers"] = buffers;
@@ -201,16 +176,5 @@ int main(int argc, char** argv) {
               "GM retransmission recovers them at a\nmakespan cost; larger "
               "pools eliminate drops (the paper notes 8 MB of NIC\nSRAM "
               "makes overflow 'very unusual').\n");
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("ablation_buffer_pool", rp)) return 1;
-
-  if (json_path) {
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  return bench.finish();
 }

@@ -17,11 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "itb/core/bench.hpp"
 #include "itb/core/experiments.hpp"
-#include "itb/core/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
-#include "itb/telemetry/export.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
@@ -34,22 +32,18 @@ struct OverheadOutput {
   double overhead_ns = 0;
   telemetry::LatencyHistogram ud_hist;
   telemetry::LatencyHistogram itb_hist;
-  std::vector<telemetry::MetricSample> counters;  // want_series pairs only
-  std::vector<telemetry::Sampler::Series> series;
-  health::LivenessVerdict liveness;  // --watchdog only, both clusters merged
-  // --flight only. Kept separate: handles are only unique per cluster, so
+  // One capture per cluster: flight handles are only unique per cluster, so
   // the timeline must stitch each recording on its own.
-  flight::Recording ud_recording;
-  flight::Recording itb_recording;
+  core::Capture ud;
+  core::Capture itb;
 };
 
 OverheadOutput itb_overhead(const nic::McpOptions& options, std::size_t size,
-                            bool sample, bool want_series, bool watchdog,
-                            const flight::RecorderConfig& frc) {
-  health::WatchdogConfig wc;
-  wc.enabled = watchdog;
-  auto ud = core::make_fig8_cluster(false, options, {}, wc, frc);
-  auto itb = core::make_fig8_cluster(true, options, {}, wc, frc);
+                            bool want_series, const core::Bench& bench) {
+  const auto wc = bench.watchdog_config();
+  auto ud = core::make_fig8_cluster(false, options, {}, wc, bench.recorder());
+  auto itb = core::make_fig8_cluster(true, options, {}, wc, bench.recorder());
+  const bool sample = bench.json();
   if (sample) itb->telemetry().start_sampling();
   auto a = workload::run_pingpong(ud->queue(), ud->port(core::kHost1),
                                   ud->port(core::kHost2), size, 20);
@@ -66,36 +60,22 @@ OverheadOutput itb_overhead(const nic::McpOptions& options, std::size_t size,
     out.ud_hist = a.hist;
     out.itb_hist = b.hist;
     itb->telemetry().stop_sampling();
-    // Series from every configuration would be repetitive; keep the paper
-    // MCP's as the reference picture of the ITB path under ping-pong.
-    if (want_series) {
-      out.counters = itb->telemetry().registry().snapshot();
-      out.series = itb->telemetry().sampler().series();
-    }
   }
-  if (watchdog) {
-    out.liveness = ud->health()->verdict();
-    out.liveness.merge(itb->health()->verdict());
-  }
-  if (ud->flight()) {
-    out.ud_recording = ud->flight()->snapshot();
-    out.itb_recording = itb->flight()->snapshot();
-  }
+  // Series from every configuration would be repetitive; keep the paper
+  // MCP's as the reference picture of the ITB path under ping-pong.
+  out.ud = bench.capture(*ud);
+  out.itb = bench.capture(*itb, sample && want_series);
   return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
+  core::Bench bench("ablation_early_recv", argc, argv, core::Bench::kSweep);
   const std::size_t sizes[] = {16, 256, 1024, 4000};
 
-  telemetry::BenchReport report("ablation_early_recv");
+  telemetry::BenchReport& report = bench.report();
   report.set_param("iterations", 20);
-  telemetry::BenchReport* rp = json_path ? &report : nullptr;
 
   std::printf("Ablation: Early Recv event and Recv-side re-injection\n");
   std::printf("(per-ITB overhead in us, Fig. 8 methodology)\n\n");
@@ -120,43 +100,28 @@ int main(int argc, char** argv) {
                               {"neither", neither}};
 
   // 4 sizes x 4 variants = 16 independent measurement pairs.
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       std::size(sizes) * std::size(variants),
       [&](std::size_t i) {
         const std::size_t size = sizes[i / std::size(variants)];
         const Variant& v = variants[i % std::size(variants)];
-        return itb_overhead(v.options, size, rp != nullptr,
-                            std::string_view(v.run) == "paper", watchdog,
-                            fcli.recorder());
+        return itb_overhead(v.options, size,
+                            std::string_view(v.run) == "paper", bench);
       },
-      jobs);
+      bench.jobs());
 
-  flight::BenchFlight bflight(fcli);
-  if (fcli.enabled) {
-    for (auto& o : outputs) {
-      bflight.add(std::move(o.ud_recording));
-      bflight.add(std::move(o.itb_recording));
-    }
-  }
-
-  health::LivenessVerdict liveness;
   for (std::size_t si = 0; si < std::size(sizes); ++si) {
     const std::size_t size = sizes[si];
     double overhead[std::size(variants)];
     for (std::size_t vi = 0; vi < std::size(variants); ++vi) {
       OverheadOutput& o = outputs[si * std::size(variants) + vi];
-      liveness.merge(o.liveness);
       overhead[vi] = o.overhead_ns;
-      if (rp) {
-        const std::string tag =
-            std::string(variants[vi].run) + "_" + std::to_string(size) + "B";
-        rp->add_histogram("ud_half_rtt", tag, o.ud_hist);
-        rp->add_histogram("itb_half_rtt", tag, o.itb_hist);
-        if (std::string_view(variants[vi].run) == "paper") {
-          rp->add_counters(tag, std::move(o.counters));
-          rp->add_series(tag, std::move(o.series));
-        }
-      }
+      const std::string tag =
+          std::string(variants[vi].run) + "_" + std::to_string(size) + "B";
+      report.add_histogram("ud_half_rtt", tag, o.ud_hist);
+      report.add_histogram("itb_half_rtt", tag, o.itb_hist);
+      bench.add(std::move(o.ud));
+      bench.add(std::move(o.itb), tag);
     }
     std::printf("%10zu %12.3f %14.3f %16.3f %18.3f\n", size,
                 overhead[0] / 1000.0, overhead[1] / 1000.0,
@@ -174,16 +139,5 @@ int main(int argc, char** argv) {
               "(store-and-forward); dropping Recv-side\nre-injection adds "
               "one dispatch cycle (%d LANai cycles).\n",
               nic::LanaiTiming{}.dispatch);
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("ablation_early_recv", rp)) return 1;
-
-  if (json_path) {
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  return bench.finish();
 }

@@ -15,11 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
-#include "itb/telemetry/export.hpp"
+#include "itb/core/bench.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
@@ -30,16 +27,12 @@ using namespace itb;
 /// its worker thread.
 struct MeasureOutput {
   workload::AllsizeRow row;
-  std::vector<telemetry::MetricSample> counters;
-  std::vector<telemetry::Sampler::Series> series;
-  health::LivenessVerdict liveness;  // --watchdog only
-  flight::Recording recording;       // --flight only
+  core::Capture capture;
 };
 
 MeasureOutput measure(topo::PortKind src_kind, topo::PortKind dst_kind,
                       topo::PortKind trunk_kind, std::size_t size,
-                      bool sample, bool watchdog,
-                      const flight::RecorderConfig& frc) {
+                      const core::Bench& bench) {
   topo::Topology topo;
   topo.add_switch(8);
   topo.add_switch(8);
@@ -51,12 +44,12 @@ MeasureOutput measure(topo::PortKind src_kind, topo::PortKind dst_kind,
 
   core::ClusterConfig cfg;
   cfg.topology = std::move(topo);
-  cfg.watchdog.enabled = watchdog;
-  cfg.flight = frc;
+  bench.arm(cfg);
   core::Cluster cluster(std::move(cfg));
   workload::AllsizeConfig acfg;
   acfg.iterations = 20;
   acfg.sizes = {size};
+  const bool sample = bench.json();
   if (sample) {
     acfg.sampler = &cluster.telemetry().sampler();
     cluster.telemetry().start_sampling();
@@ -65,13 +58,8 @@ MeasureOutput measure(topo::PortKind src_kind, topo::PortKind dst_kind,
   out.row = workload::run_allsize(cluster.queue(), cluster.port(0),
                                   cluster.port(1), acfg)
                 .front();
-  if (sample) {
-    cluster.telemetry().stop_sampling();
-    out.counters = cluster.telemetry().registry().snapshot();
-    out.series = cluster.telemetry().sampler().series();
-  }
-  if (watchdog) out.liveness = cluster.health()->verdict();
-  if (cluster.flight()) out.recording = cluster.flight()->snapshot();
+  if (sample) cluster.telemetry().stop_sampling();
+  out.capture = bench.capture(cluster, sample);
   return out;
 }
 
@@ -81,16 +69,12 @@ const char* name(topo::PortKind k) { return topo::to_string(k); }
 
 int main(int argc, char** argv) {
   using topo::PortKind;
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
+  core::Bench bench("ablation_port_kinds", argc, argv, core::Bench::kSweep);
   const std::size_t size = 256;
 
-  telemetry::BenchReport report("ablation_port_kinds");
+  telemetry::BenchReport& report = bench.report();
   report.set_param("message_bytes", static_cast<double>(size));
   report.set_param("iterations", 20);
-  telemetry::BenchReport* rp = json_path ? &report : nullptr;
 
   std::printf("Ablation: switch latency by traversed port kinds\n");
   std::printf("(2-switch path, 256 B ping-pong, LAN ports re-time the "
@@ -107,31 +91,23 @@ int main(int argc, char** argv) {
         combos.push_back({src, trunk, dst});
 
   // Eight independent clusters; fan out, then print/report in combo order.
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       combos.size(),
       [&](std::size_t i) {
         const Combo& c = combos[i];
-        return measure(c.src, c.dst, c.trunk, size, rp != nullptr, watchdog,
-                       fcli.recorder());
+        return measure(c.src, c.dst, c.trunk, size, bench);
       },
-      jobs);
+      bench.jobs());
 
-  flight::BenchFlight bflight(fcli);
-  health::LivenessVerdict liveness;
   for (std::size_t i = 0; i < combos.size(); ++i) {
     const auto& [src, trunk, dst] = combos[i];
     MeasureOutput& o = outputs[i];
-    liveness.merge(o.liveness);
-    if (fcli.enabled) bflight.add(std::move(o.recording));
     const std::string tag =
         std::string(name(src)) + "_" + name(trunk) + "_" + name(dst);
     std::printf("%8s %8s %8s %14.3f\n", name(src), name(trunk), name(dst),
                 o.row.half_rtt_ns / 1000.0);
-    if (rp) {
-      rp->add_histogram("half_rtt", tag, o.row.hist);
-      rp->add_counters(tag, std::move(o.counters));
-      rp->add_series(tag, std::move(o.series));
-    }
+    report.add_histogram("half_rtt", tag, o.row.hist);
+    bench.add(std::move(o.capture), tag);
     telemetry::BenchReport::Row r;
     r.text["src"] = name(src);
     r.text["trunk"] = name(trunk);
@@ -145,16 +121,5 @@ int main(int argc, char** argv) {
               "per traversal\n(default %lld ns); trunk LAN links are "
               "crossed by two fall-throughs and pay twice.\n",
               static_cast<long long>(net::NetTiming{}.lan_port_penalty_ns));
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("ablation_port_kinds", rp)) return 1;
-
-  if (json_path) {
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  return bench.finish();
 }

@@ -15,20 +15,18 @@
 // are UD-invalid, yet any ring route has at most one down->up transition,
 // so even a 2-lane ladder restores 100% minimality).
 //
-// `--jobs N` threads for per-source route solves. Output contains NO wall
-// clock and no --jobs echo: CI byte-compares the full stdout and JSON of
-// --jobs 1 vs --jobs 8 runs.
+// `--jobs N` threads for per-source route solves (0 = hardware
+// concurrency, the default). Output contains NO wall clock and no --jobs
+// echo: CI byte-compares the full stdout and JSON of --jobs 1 vs --jobs 8
+// runs.
 // `--json P` itb.telemetry.v1 report (BENCH_10.json is the committed
 // headline the CI regression gate compares against).
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "itb/core/cluster.hpp"
+#include "itb/core/bench.hpp"
 #include "itb/engine/engine.hpp"
-#include "itb/sim/parallel.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {
@@ -117,10 +115,9 @@ void run_traffic(const topo::Topology& fabric,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(1);
-
-  telemetry::BenchReport report("engine_compare");
+  core::Bench bench("engine_compare", argc, argv, core::Bench::kJobs);
+  const unsigned jobs = bench.jobs();
+  telemetry::BenchReport& report = bench.report();
   const auto specs = make_specs();
 
   std::printf(
@@ -191,15 +188,5 @@ int main(int argc, char** argv) {
       "\n(every row passed its static per-lane CDG deadlock-freedom check; "
       "tables are bit-identical for any --jobs value)\n");
 
-  if (!all_verified) return 1;
-  if (json_path) {
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    // stderr, so stdout stays byte-identical across --json destinations
-    // (CI compares the --jobs 1 and --jobs 8 stdout directly).
-    std::fprintf(stderr, "JSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  return bench.finish(all_verified);
 }

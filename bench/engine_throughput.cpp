@@ -23,12 +23,11 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "itb/core/bench.hpp"
 #include "itb/net/network.hpp"
 #include "itb/packet/format.hpp"
 #include "itb/sim/alloc_hook.hpp"
@@ -221,41 +220,25 @@ bool write_json(const Options& opt, const BenchResult& best) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using core::Flag;
+  const core::Args args = core::parse_args_or_exit(
+      argc, argv,
+      {{"--switches", Flag::kCount}, {"--hosts-per-switch", Flag::kCount},
+       {"--window", Flag::kCount}, {"--payload", Flag::kCount},
+       {"--warmup", Flag::kCount}, {"--events", Flag::kCount},
+       {"--reps", Flag::kCount}, {"--json", Flag::kPath}});
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", name);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--json") {
-      opt.json_path = next("--json");
-    } else if (arg == "--switches") {
-      opt.switches = std::atoi(next("--switches"));
-    } else if (arg == "--hosts-per-switch") {
-      opt.hosts_per_switch = std::atoi(next("--hosts-per-switch"));
-    } else if (arg == "--window") {
-      opt.window = std::atoi(next("--window"));
-    } else if (arg == "--payload") {
-      opt.payload = std::atoi(next("--payload"));
-    } else if (arg == "--warmup") {
-      opt.warmup = std::strtoull(next("--warmup"), nullptr, 10);
-    } else if (arg == "--events") {
-      opt.events = std::strtoull(next("--events"), nullptr, 10);
-    } else if (arg == "--reps") {
-      opt.reps = std::atoi(next("--reps"));
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--switches N] [--hosts-per-switch N] "
-                   "[--window N] [--payload BYTES] [--warmup EVENTS] "
-                   "[--events EVENTS] [--reps N] [--json PATH]\n",
-                   argv[0]);
-      return arg == "--help" ? 0 : 2;
-    }
-  }
+  auto count = [&](std::string_view flag, int fallback) {
+    return static_cast<int>(args.count(flag, fallback));
+  };
+  opt.switches = count("--switches", opt.switches);
+  opt.hosts_per_switch = count("--hosts-per-switch", opt.hosts_per_switch);
+  opt.window = count("--window", opt.window);
+  opt.payload = count("--payload", opt.payload);
+  opt.warmup = args.count("--warmup", opt.warmup);
+  opt.events = args.count("--events", opt.events);
+  opt.reps = count("--reps", opt.reps);
+  opt.json_path = args.value("--json").value_or("");
   if (opt.switches < 2 || opt.hosts_per_switch < 1 ||
       opt.hosts_per_switch > 6 || opt.window < 1) {
     std::fprintf(stderr, "bad config (need >=2 switches, 1..6 hosts/switch, "
@@ -292,7 +275,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", opt.json_path.c_str());
       return 1;
     }
-    std::printf("JSON report written to %s\n", opt.json_path.c_str());
+    std::fprintf(stderr, "JSON report written to %s\n", opt.json_path.c_str());
   }
   return 0;
 }

@@ -18,22 +18,17 @@
 #include <string>
 #include <vector>
 
-#include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
-#include "itb/telemetry/export.hpp"
+#include "itb/core/bench.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/workload/apps.hpp"
 
 namespace {
 
 using namespace itb;
 
-bool g_watchdog = false;
-flight::RecorderConfig g_flight;
-
 std::unique_ptr<core::Cluster> make_cluster(routing::Policy policy,
-                                            std::uint64_t seed) {
+                                            std::uint64_t seed,
+                                            const core::Bench& bench) {
   sim::Rng rng(seed);
   topo::IrregularSpec spec;
   spec.switches = 32;
@@ -49,42 +44,32 @@ std::unique_ptr<core::Cluster> make_cluster(routing::Policy policy,
   cfg.gm_config.window = 32;
   cfg.gm_config.retransmit_timeout = 50 * sim::kMs;  // patient: ack RTT is large under bursts
   cfg.telemetry_sample_period = 500 * sim::kUs;
-  cfg.watchdog.enabled = g_watchdog;
-  cfg.flight = g_flight;
+  bench.arm(cfg);
   return std::make_unique<core::Cluster>(std::move(cfg));
 }
-
-telemetry::BenchReport* g_report = nullptr;
 
 /// One {kernel, policy} run's full output, returned by value so the
 /// cluster can die on its worker thread.
 struct KernelOutput {
   workload::AppResult result;
-  std::vector<telemetry::MetricSample> counters;
-  std::vector<telemetry::Sampler::Series> series;
-  health::LivenessVerdict liveness;  // --watchdog only
-  flight::Recording recording;       // --flight only
+  core::Capture capture;
 };
 
 KernelOutput run_kernel(
     std::uint64_t seed, routing::Policy policy,
-    const std::function<workload::AppResult(core::Cluster&)>& body) {
-  auto cluster = make_cluster(policy, seed);
-  if (g_report) cluster->telemetry().start_sampling();
+    const std::function<workload::AppResult(core::Cluster&)>& body,
+    const core::Bench& bench) {
+  auto cluster = make_cluster(policy, seed, bench);
+  if (bench.json()) cluster->telemetry().start_sampling();
   KernelOutput out;
   out.result = body(*cluster);
-  if (g_report) {
-    cluster->telemetry().stop_sampling();
-    out.counters = cluster->telemetry().registry().snapshot();
-    out.series = cluster->telemetry().sampler().series();
-  }
-  if (g_watchdog) out.liveness = cluster->health()->verdict();
-  if (cluster->flight()) out.recording = cluster->flight()->snapshot();
+  if (bench.json()) cluster->telemetry().stop_sampling();
+  out.capture = bench.capture(*cluster, bench.json());
   return out;
 }
 
 void report(const char* kernel, workload::AppResult ud,
-            workload::AppResult itb) {
+            workload::AppResult itb, telemetry::BenchReport& out) {
   std::printf("%-14s | %12.1f | %12.1f | %6.2fx  (%llu msgs, %.1f MB)\n",
               kernel, static_cast<double>(ud.makespan) / 1000.0,
               static_cast<double>(itb.makespan) / 1000.0,
@@ -92,31 +77,23 @@ void report(const char* kernel, workload::AppResult ud,
                   static_cast<double>(itb.makespan),
               static_cast<unsigned long long>(ud.messages),
               static_cast<double>(ud.bytes) / 1e6);
-  if (g_report) {
-    telemetry::BenchReport::Row row;
-    row.text["kernel"] = kernel;
-    row.num["ud_makespan_ns"] = static_cast<double>(ud.makespan);
-    row.num["itb_makespan_ns"] = static_cast<double>(itb.makespan);
-    row.num["speedup"] = static_cast<double>(ud.makespan) /
-                         static_cast<double>(itb.makespan);
-    row.num["messages"] = static_cast<double>(ud.messages);
-    row.num["bytes"] = static_cast<double>(ud.bytes);
-    g_report->add_row("kernels", std::move(row));
-  }
+  telemetry::BenchReport::Row row;
+  row.text["kernel"] = kernel;
+  row.num["ud_makespan_ns"] = static_cast<double>(ud.makespan);
+  row.num["itb_makespan_ns"] = static_cast<double>(itb.makespan);
+  row.num["speedup"] =
+      static_cast<double>(ud.makespan) / static_cast<double>(itb.makespan);
+  row.num["messages"] = static_cast<double>(ud.messages);
+  row.num["bytes"] = static_cast<double>(ud.bytes);
+  out.add_row("kernels", std::move(row));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
-  g_watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
-  g_flight = fcli.recorder();
-  telemetry::BenchReport bench_report("ext_applications");
-  if (json_path) g_report = &bench_report;
+  core::Bench bench("ext_applications", argc, argv, core::Bench::kSweep);
   const std::uint64_t seed = 1977;
-  bench_report.set_param("seed", static_cast<double>(seed));
+  bench.report().set_param("seed", static_cast<double>(seed));
 
   std::printf("Extension: distributed-application kernels, 32-switch "
               "irregular COW, 128 hosts\n");
@@ -147,50 +124,27 @@ int main(int argc, char** argv) {
   // Six independent simulations (kernel x policy), fanned across threads;
   // stdout and the report are assembled serially afterwards, in the same
   // order the serial program produced them.
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       kernels.size() * 2,
       [&](std::size_t i) {
         const Kernel& k = kernels[i / 2];
         const auto policy =
             i % 2 == 0 ? routing::Policy::kUpDown : routing::Policy::kItb;
-        return run_kernel(seed, policy, k.body);
+        return run_kernel(seed, policy, k.body, bench);
       },
-      jobs);
+      bench.jobs());
 
-  flight::BenchFlight bflight(fcli);
-  health::LivenessVerdict liveness;
   for (std::size_t i = 0; i < kernels.size(); ++i) {
     KernelOutput& ud = outputs[2 * i];
     KernelOutput& itb = outputs[2 * i + 1];
-    liveness.merge(ud.liveness);
-    liveness.merge(itb.liveness);
-    if (fcli.enabled) {
-      bflight.add(std::move(ud.recording));
-      bflight.add(std::move(itb.recording));
-    }
-    if (g_report) {
-      const std::string base = kernels[i].name;
-      g_report->add_counters(base + "_ud", std::move(ud.counters));
-      g_report->add_series(base + "_ud", std::move(ud.series));
-      g_report->add_counters(base + "_itb", std::move(itb.counters));
-      g_report->add_series(base + "_itb", std::move(itb.series));
-    }
-    report(kernels[i].name, ud.result, itb.result);
+    const std::string base = kernels[i].name;
+    bench.add(std::move(ud.capture), base + "_ud");
+    bench.add(std::move(itb.capture), base + "_itb");
+    report(kernels[i].name, ud.result, itb.result, bench.report());
   }
 
   std::printf("\nExpected: the bursty all-to-all gains most (root "
               "decongestion); the ring is\nlatency-bound and nearly "
               "unaffected; master/worker sits in between.\n");
-  if (g_watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("ext_applications", g_report)) return 1;
-
-  if (json_path) {
-    if (g_watchdog) health::add_liveness_scalars(bench_report, liveness);
-    if (!bench_report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  return bench.finish();
 }

@@ -20,11 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
-#include "itb/telemetry/export.hpp"
+#include "itb/core/bench.hpp"
+#include "itb/sim/parallel.hpp"
 
 namespace {
 
@@ -89,14 +86,11 @@ struct PointResult {
   std::uint64_t recovery_flaps_quarantined = 0;
   sim::Time end = 0;
   bool reconciled = false;
-  std::vector<telemetry::MetricSample> counters;
-  health::LivenessVerdict liveness;  // --watchdog only
-  flight::Recording recording;       // --flight only
+  core::Capture capture;
 };
 
 PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
-                      bool want_counters, bool watchdog,
-                      const flight::RecorderConfig& frc) {
+                      const core::Bench& bench) {
   core::ClusterConfig cfg;
   cfg.topology = sc.make();
   cfg.policy = sc.policy;
@@ -119,8 +113,7 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
     spec.hotspot_gap = 200 * sim::kUs;
     cfg.fault_schedule = fault::FaultSchedule::chaos(cfg.topology, spec);
   }
-  cfg.watchdog.enabled = watchdog;
-  cfg.flight = frc;
+  bench.arm(cfg);
   core::Cluster c(std::move(cfg));
 
   std::vector<int> delivered(kMessages, 0);
@@ -148,6 +141,7 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
   c.run();
 
   PointResult r;
+  r.capture = bench.capture(c, bench.json());
   r.accepted = *accepted;
   for (int n : delivered) {
     if (n > 0) ++r.delivered_unique;
@@ -156,11 +150,10 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
   r.failed = c.port(sc.src).stats().messages_failed;
   const auto& ns = c.network().stats();
   r.lost = ns.lost;
-  if (watchdog) r.liveness = c.health()->verdict();
   // Forced ejections are watchdog-attributed losses: net.lost but not on
   // the fault injector's ledger, so the reconciliation admits exactly that
   // many extra.
-  const std::uint64_t ejected = r.liveness.forced_ejections;
+  const std::uint64_t ejected = r.capture.liveness.forced_ejections;
   if (auto* f = c.faults()) {
     const auto& fs = f->stats();
     r.lost_windows = fs.lost_link_down + fs.lost_switch_down + fs.lost_host_down;
@@ -183,19 +176,14 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
   }
   r.retransmissions = c.port(sc.src).stats().retransmissions;
   r.end = c.queue().now();
-  if (want_counters) r.counters = c.telemetry().registry().snapshot();
-  if (c.flight()) r.recording = c.flight()->snapshot();
   return r;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
-  telemetry::BenchReport report("ext_reliability");
+  core::Bench bench("ext_reliability", argc, argv, core::Bench::kSweep);
+  telemetry::BenchReport& report = bench.report();
   report.set_param("messages", kMessages);
   report.set_param("message_bytes", kMessageBytes);
   report.set_param("chaos_horizon_ns", static_cast<double>(kChaosHorizon));
@@ -217,26 +205,21 @@ int main(int argc, char** argv) {
     for (const auto& lvl : kChaosLevels)
       for (double drop : kDropRates) points.push_back({&sc, &lvl, drop});
 
-  auto results = core::run_sweep_parallel(
+  auto results = sim::run_sweep_parallel(
       points.size(),
       [&](std::size_t i) {
         const Point& p = points[i];
-        auto r = run_point(*p.sc, p.drop, *p.lvl, json_path.has_value(),
-                           watchdog, fcli.recorder());
+        auto r = run_point(*p.sc, p.drop, *p.lvl, bench);
         r.run_name = std::string(p.sc->name) + "_" + p.lvl->name + "_d" +
                      std::to_string(static_cast<int>(p.drop * 100));
         return r;
       },
-      jobs);
+      bench.jobs());
 
   bool all_exactly_once = true;
-  flight::BenchFlight bflight(fcli);
-  health::LivenessVerdict liveness;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
     PointResult& r = results[i];
-    liveness.merge(r.liveness);
-    if (fcli.enabled) bflight.add(std::move(r.recording));
     std::printf("%-13s %-6s %-6.2f | %5d %5d %4d %6llu | %6llu %7llu %6llu "
                 "%7llu | %7.1fus\n",
                 p.sc->name, p.lvl->name, p.drop, r.accepted,
@@ -256,7 +239,7 @@ int main(int argc, char** argv) {
       std::printf("  ^^ VIOLATION: duplicates, vanished messages or "
                   "unreconciled loss ledger\n");
     }
-    if (json_path) {
+    if (bench.json()) {
       telemetry::BenchReport::Row row;
       row.text["scenario"] = p.sc->name;
       row.text["chaos"] = p.lvl->name;
@@ -280,35 +263,22 @@ int main(int argc, char** argv) {
           static_cast<double>(r.recovery_flaps_quarantined);
       row.num["sim_end_ns"] = static_cast<double>(r.end);
       row.num["exactly_once"] = ok ? 1.0 : 0.0;
-      if (watchdog) {
-        row.num["health_stalls"] = static_cast<double>(r.liveness.stalls);
-        row.num["health_recoveries"] =
-            static_cast<double>(r.liveness.recoveries);
+      if (bench.watchdog()) {
+        const health::LivenessVerdict& v = r.capture.liveness;
+        row.num["health_stalls"] = static_cast<double>(v.stalls);
+        row.num["health_recoveries"] = static_cast<double>(v.recoveries);
         row.num["health_forced_ejections"] =
-            static_cast<double>(r.liveness.forced_ejections);
-        row.num["health_unrecovered"] =
-            static_cast<double>(r.liveness.unrecovered);
+            static_cast<double>(v.forced_ejections);
+        row.num["health_unrecovered"] = static_cast<double>(v.unrecovered);
       }
       report.add_row("chaos_soak", std::move(row));
-      report.add_counters(r.run_name, std::move(r.counters));
     }
+    bench.add(std::move(r.capture), r.run_name);
   }
 
   std::printf("\n%s\n", all_exactly_once
                             ? "All runs delivered exactly once with a "
                               "reconciled loss ledger."
                             : "EXACTLY-ONCE VIOLATION: see rows above.");
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("ext_reliability", json_path ? &report : nullptr))
-    return 1;
-
-  if (json_path) {
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("JSON report written to %s\n", json_path->c_str());
-  }
-  return all_exactly_once ? 0 : 1;
+  return bench.finish(all_exactly_once);
 }

@@ -30,18 +30,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "itb/core/cluster.hpp"
+#include "itb/core/bench.hpp"
 #include "itb/routing/table.hpp"
 #include "itb/routing/updown.hpp"
-#include "itb/sim/parallel.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/topo/builders.hpp"
 
 namespace {
@@ -170,19 +166,14 @@ double ratio(std::uint64_t total, std::uint64_t part) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = sim::jobs_flag(argc, argv).value_or(0);
-  std::size_t max_hosts = SIZE_MAX;
-  bool verify = true;
-  std::optional<std::string> routes_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-hosts") == 0 && i + 1 < argc)
-      max_hosts = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    else if (std::strcmp(argv[i], "--routes-out") == 0 && i + 1 < argc)
-      routes_path = argv[++i];
-    else if (std::strcmp(argv[i], "--no-verify") == 0)
-      verify = false;
-  }
+  core::Bench bench("fault_recovery", argc, argv, core::Bench::kJobs,
+                    {{"--max-hosts", core::Flag::kCount},
+                     {"--routes-out", core::Flag::kPath},
+                     {"--no-verify"}});
+  const unsigned jobs = bench.jobs();
+  const auto max_hosts = bench.args().count("--max-hosts", SIZE_MAX);
+  const bool verify = !bench.args().has("--no-verify");
+  const auto routes_path = bench.args().value("--routes-out");
 
   std::ofstream routes_file;
   if (routes_path) {
@@ -193,7 +184,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  telemetry::BenchReport report("fault_recovery");
+  telemetry::BenchReport& report = bench.report();
   report.set_param("jobs", static_cast<double>(jobs));
   report.set_param("verify", verify ? 1.0 : 0.0);
 
@@ -240,7 +231,7 @@ int main(int argc, char** argv) {
           failed = true;
         }
 
-        if (json_path) {
+        if (bench.json()) {
           const std::string run = pt.label + "_" + mode + "_" + engine;
           telemetry::BenchReport::Row row;
           row.text["point"] = pt.label;
@@ -308,7 +299,7 @@ int main(int argc, char** argv) {
                                         res[1].rounds[2].fired) /
                         1e3
                   : 0.0);
-          if (json_path) {
+          if (bench.json()) {
             report.add_scalar("scoped_p99_ns_" + pt.label, scoped.p99_ns);
             report.add_scalar("full_p99_ns_" + pt.label, res[1].p99_ns);
             report.add_scalar("sources_ratio_" + pt.label, src_ratio);
@@ -330,7 +321,7 @@ int main(int argc, char** argv) {
             failed = true;
           }
         }
-      } else if (json_path) {
+      } else if (bench.json()) {
         report.add_scalar(mode + "_scoped_p99_ns_" + pt.label, scoped.p99_ns);
       }
       if (mode == "flap" && scoped.stats.flaps_quarantined == 0) {
@@ -347,18 +338,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (json_path) {
-    report.add_scalar("verify_enabled", verify ? 1 : 0);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
+  report.add_scalar("verify_enabled", verify ? 1 : 0);
   std::printf(
       "\n(latencies are simulated first-event->install; probe/source costs "
       "charged at 1 us/probe + 2 us/source; patched tables %s)\n",
       verify ? "verified byte-identical against full solves"
              : "NOT verified (--no-verify)");
-  return failed ? 1 : 0;
+  return bench.finish(!failed);
 }

@@ -15,9 +15,8 @@
 // recording / the Perfetto-loadable Chrome trace.
 #include <cstdio>
 
+#include "itb/core/bench.hpp"
 #include "itb/core/experiments.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/telemetry/export.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
@@ -41,25 +40,24 @@ std::vector<workload::AllsizeRow> run(core::Cluster& cluster,
 
 int main(int argc, char** argv) {
   using namespace itb;
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
+  core::Bench bench("fig7_code_overhead", argc, argv, core::Bench::kFlight);
 
   workload::AllsizeConfig cfg;
   cfg.iterations = 100;
   // Single-packet GM messages, like the paper's sweep.
   cfg.sizes = {4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4000};
 
-  auto orig = core::make_fig7_cluster(/*modified_mcp=*/false, fcli.recorder());
-  auto mod = core::make_fig7_cluster(/*modified_mcp=*/true, fcli.recorder());
+  auto orig = core::make_fig7_cluster(/*modified_mcp=*/false, bench.recorder());
+  auto mod = core::make_fig7_cluster(/*modified_mcp=*/true, bench.recorder());
 
-  auto rows_orig = run(*orig, cfg, json_path.has_value());
-  auto rows_mod = run(*mod, cfg, json_path.has_value());
+  auto rows_orig = run(*orig, cfg, bench.json());
+  auto rows_mod = run(*mod, cfg, bench.json());
 
   std::printf("Figure 7: message latency overhead of the new GM/MCP code\n");
   std::printf("(half-round-trip, host1 <-> host2, up*/down* routes, 100 iters)\n\n");
   std::printf("%10s %14s %14s %12s %10s\n", "size(B)", "original(us)",
               "modified(us)", "delta(ns)", "rel(%)");
-  telemetry::BenchReport report("fig7_code_overhead");
+  telemetry::BenchReport& report = bench.report();
   report.set_param("iterations", cfg.iterations);
   double sum_delta = 0, max_delta = 0;
   for (std::size_t i = 0; i < rows_orig.size(); ++i) {
@@ -89,26 +87,9 @@ int main(int argc, char** argv) {
   std::printf("maximum delta: %.1f ns   (paper: < 300 ns)\n", max_delta);
   std::printf("relative overhead falls with size (paper: ~1%% -> ~0.4%%)\n");
 
-  flight::BenchFlight flight(fcli);
-  if (fcli.enabled) {
-    flight.add(orig->flight()->snapshot());
-    flight.add(mod->flight()->snapshot());
-  }
-  if (!flight.finish("fig7_code_overhead", json_path ? &report : nullptr))
-    return 1;
-
-  if (json_path) {
-    report.add_scalar("average_delta_ns", avg_delta);
-    report.add_scalar("maximum_delta_ns", max_delta);
-    report.add_counters("orig", orig->telemetry().registry());
-    report.add_counters("mod", mod->telemetry().registry());
-    report.add_series("orig", orig->telemetry().sampler());
-    report.add_series("mod", mod->telemetry().sampler());
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  report.add_scalar("average_delta_ns", avg_delta);
+  report.add_scalar("maximum_delta_ns", max_delta);
+  bench.add(bench.capture(*orig, bench.json()), "orig");
+  bench.add(bench.capture(*mod, bench.json()), "mod");
+  return bench.finish();
 }

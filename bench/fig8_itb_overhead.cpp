@@ -23,10 +23,9 @@
 // diffs across --jobs values and commits.
 #include <cstdio>
 
+#include "itb/core/bench.hpp"
 #include "itb/core/experiments.hpp"
-#include "itb/core/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/telemetry/export.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
@@ -52,44 +51,37 @@ struct PathOutput {
   std::vector<workload::AllsizeRow> rows;
   std::uint64_t itb_forwarded = 0;
   std::uint64_t delivered_to_host = 0;
-  std::vector<telemetry::MetricSample> counters;
-  std::vector<telemetry::Sampler::Series> series;
-  flight::Recording recording;
+  core::Capture capture;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace itb;
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
-  auto fcli = flight::flight_flags(argc, argv);
+  core::Bench bench("fig8_itb_overhead", argc, argv,
+                    core::Bench::kJobs | core::Bench::kFlight);
   // Acceptance artifact: plain --flight still emits the Perfetto trace.
-  if (fcli.enabled && !fcli.trace) fcli.trace = "fig8_flight_trace.json";
+  bench.default_flight_trace("fig8_flight_trace.json");
 
   workload::AllsizeConfig cfg;
   cfg.iterations = 100;
   cfg.sizes = {4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4000};
 
   // Point 0 = the UD forward route, point 1 = the UD+ITB route.
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       2,
       [&](std::size_t i) {
         auto cluster = core::make_fig8_cluster(/*itb_path=*/i == 1, {}, {}, {},
-                                               fcli.recorder());
+                                               bench.recorder());
         PathOutput out;
-        out.rows = run(*cluster, cfg, json_path.has_value());
+        out.rows = run(*cluster, cfg, bench.json());
         out.itb_forwarded = cluster->nic(core::kInTransit).stats().itb_forwarded;
         out.delivered_to_host =
             cluster->nic(core::kInTransit).stats().delivered_to_host;
-        if (json_path) {
-          out.counters = cluster->telemetry().registry().snapshot();
-          out.series = cluster->telemetry().sampler().series();
-        }
-        if (cluster->flight()) out.recording = cluster->flight()->snapshot();
+        out.capture = bench.capture(*cluster, bench.json());
         return out;
       },
-      jobs);
+      bench.jobs());
   const auto& rows_ud = outputs[0].rows;
   const auto& rows_itb = outputs[1].rows;
 
@@ -98,7 +90,7 @@ int main(int argc, char** argv) {
               "port kinds)\n\n");
   std::printf("%10s %12s %12s %14s %10s\n", "size(B)", "UD(us)", "UD-ITB(us)",
               "overhead(us)", "rel(%)");
-  telemetry::BenchReport report("fig8_itb_overhead");
+  telemetry::BenchReport& report = bench.report();
   report.set_param("iterations", cfg.iterations);
   double sum = 0;
   for (std::size_t i = 0; i < rows_ud.size(); ++i) {
@@ -137,25 +129,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(forwarded),
               static_cast<unsigned long long>(delivered));
 
-  telemetry::BenchReport* rp = json_path ? &report : nullptr;
-  flight::BenchFlight flight(fcli);
-  if (fcli.enabled)
-    for (auto& o : outputs) flight.add(std::move(o.recording));
-  if (!flight.finish("fig8_itb_overhead", rp)) return 1;
-
-  if (json_path) {
-    report.add_scalar("average_per_itb_overhead_ns", avg_overhead);
-    report.add_scalar("itb_forwarded", static_cast<double>(forwarded));
-    report.add_scalar("itb_delivered_to_host", static_cast<double>(delivered));
-    report.add_counters("ud", std::move(outputs[0].counters));
-    report.add_counters("itb", std::move(outputs[1].counters));
-    report.add_series("ud", std::move(outputs[0].series));
-    report.add_series("itb", std::move(outputs[1].series));
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  report.add_scalar("average_per_itb_overhead_ns", avg_overhead);
+  report.add_scalar("itb_forwarded", static_cast<double>(forwarded));
+  report.add_scalar("itb_delivered_to_host", static_cast<double>(delivered));
+  bench.add(std::move(outputs[0].capture), "ud");
+  bench.add(std::move(outputs[1].capture), "itb");
+  return bench.finish();
 }

@@ -12,10 +12,10 @@
 #include <string>
 #include <vector>
 
-#include "itb/telemetry/export.hpp"
 #include "itb/telemetry/metrics.hpp"
 #include "itb/telemetry/sampler.hpp"
 
+#include "itb/core/bench.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/mapper/mapper.hpp"
 #include "itb/packet/crc.hpp"
@@ -244,23 +244,15 @@ BENCHMARK(BM_SamplerAddProbe)->Arg(1000)->Arg(10000)->Arg(42000);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = itb::telemetry::json_flag(argc, argv);
-  std::vector<std::string> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--json") {          // flag + its path argument
-      ++i;
-      continue;
-    }
-    if (a.starts_with("--json=")) continue;
-    args.emplace_back(a);
-  }
-  std::string out_flag, fmt_flag;
-  if (json_path) {
-    out_flag = "--benchmark_out=" + *json_path;
-    fmt_flag = "--benchmark_out_format=json";
-    args.push_back(out_flag);
-    args.push_back(fmt_flag);
+  // Everything but --json goes on to google-benchmark, which owns the
+  // handling of its own and of unknown flags.
+  const auto parsed = itb::core::parse_args_or_exit(
+      argc, argv, {{"--json", itb::core::Flag::kPath}}, itb::core::Rest::kAll);
+  std::vector<std::string> args = {argv[0]};
+  args.insert(args.end(), parsed.rest.begin(), parsed.rest.end());
+  if (const auto json_path = parsed.value("--json")) {
+    args.push_back("--benchmark_out=" + *json_path);
+    args.push_back("--benchmark_out_format=json");
   }
   std::vector<char*> cargs;
   cargs.reserve(args.size());

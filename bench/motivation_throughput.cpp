@@ -26,12 +26,9 @@
 #include <string>
 #include <vector>
 
-#include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
+#include "itb/core/bench.hpp"
 #include "itb/routing/deadlock.hpp"
-#include "itb/telemetry/export.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {
@@ -61,19 +58,14 @@ topo::Topology make_network(std::uint64_t seed) {
 /// point's cluster can die on its worker thread.
 struct PointOutput {
   workload::LoadResult load;
-  std::vector<telemetry::MetricSample> counters;      // sampled point only
-  std::vector<telemetry::Sampler::Series> series;     // sampled point only
-  health::LivenessVerdict liveness;                   // --watchdog only
-  flight::Recording recording;                        // --flight only
+  core::Capture capture;  // counters and series at the sampled point only
 };
 
 PointOutput run_point(routing::Policy policy, std::uint64_t seed, double rate,
-                      bool sample, bool watchdog,
-                      const flight::RecorderConfig& frc) {
+                      bool sample, const core::Bench& bench) {
   core::ClusterConfig cfg;
   cfg.topology = make_network(seed);
   cfg.policy = policy;
-  cfg.flight = frc;
   // Loaded-network configuration (paper §4): the two-buffer shipped MCP
   // can deadlock through buffer-wait cycles once in-transit packets hold
   // receive buffers while their re-injection blocks; the proposed
@@ -88,7 +80,7 @@ PointOutput run_point(routing::Policy policy, std::uint64_t seed, double rate,
   cfg.gm_config.retransmit_timeout = 5 * sim::kMs;
   // Coarse sampling: the 12 ms run yields ~24 points per channel.
   cfg.telemetry_sample_period = 500 * sim::kUs;
-  cfg.watchdog.enabled = watchdog;
+  bench.arm(cfg);
   core::Cluster cluster(std::move(cfg));
 
   if (sample) cluster.telemetry().start_sampling();
@@ -101,65 +93,50 @@ PointOutput run_point(routing::Policy policy, std::uint64_t seed, double rate,
   lc.seed = seed + 17;
   PointOutput out;
   out.load = workload::run_load(cluster.queue(), cluster.ports(), lc);
-  if (sample) {
-    cluster.telemetry().stop_sampling();
-    out.counters = cluster.telemetry().registry().snapshot();
-    out.series = cluster.telemetry().sampler().series();
-  }
-  if (watchdog) out.liveness = cluster.health()->verdict();
-  if (cluster.flight()) out.recording = cluster.flight()->snapshot();
+  if (sample) cluster.telemetry().stop_sampling();
+  out.capture = bench.capture(cluster, sample);
   return out;
 }
 
 std::vector<SweepPoint> sweep(routing::Policy policy, std::uint64_t seed,
                               const std::vector<double>& rates,
-                              telemetry::BenchReport* report,
-                              const std::string& run, unsigned jobs,
-                              health::LivenessVerdict* liveness,
-                              flight::BenchFlight* bf) {
+                              const std::string& run, core::Bench& bench) {
   // Every rate is an independent simulation: fan them out, then merge into
   // the report serially in rate order so the document (and stdout) is
   // byte-identical for any job count.
-  auto outputs = core::run_sweep_parallel(
+  auto outputs = sim::run_sweep_parallel(
       rates.size(),
       [&](std::size_t i) {
         // Time series only at the saturating rate: 128 channels x 8 rates
         // would swamp the report without adding information.
-        const bool sample = report && i + 1 == rates.size();
-        return run_point(policy, seed, rates[i], sample, liveness != nullptr,
-                         bf ? bf->cli().recorder() : flight::RecorderConfig{});
+        const bool sample = bench.json() && i + 1 == rates.size();
+        return run_point(policy, seed, rates[i], sample, bench);
       },
-      jobs);
+      bench.jobs());
 
+  telemetry::BenchReport& report = bench.report();
   std::vector<SweepPoint> points;
   for (std::size_t i = 0; i < rates.size(); ++i) {
     const double rate = rates[i];
     const workload::LoadResult& r = outputs[i].load;
-    if (liveness) liveness->merge(outputs[i].liveness);
-    if (bf) bf->add(std::move(outputs[i].recording));
+    bench.add(std::move(outputs[i].capture), run);
     points.push_back(SweepPoint{rate, r.accepted_msgs_per_s_per_host,
                                 r.latency_mean_ns / 1000.0,
                                 r.latency_p99_ns / 1000.0});
-    if (report) {
-      telemetry::BenchReport::Row row;
-      row.text["policy"] = run;
-      row.num["offered_msgs_per_s"] = rate;
-      row.num["accepted_msgs_per_s"] = r.accepted_msgs_per_s_per_host;
-      row.num["latency_mean_ns"] = r.latency_mean_ns;
-      row.num["latency_p50_ns"] = r.latency_p50_ns;
-      row.num["latency_p95_ns"] = r.latency_p95_ns;
-      row.num["latency_p99_ns"] = r.latency_p99_ns;
-      row.num["latency_p999_ns"] = r.latency_p999_ns;
-      row.num["sends_refused"] = static_cast<double>(r.sends_refused);
-      row.num["retransmissions"] = static_cast<double>(r.retransmissions);
-      report->add_row("sweep", std::move(row));
-      report->add_histogram("latency_rate_" + std::to_string(int(rate)), run,
-                            r.latency_hist);
-      if (i + 1 == rates.size()) {
-        report->add_counters(run, std::move(outputs[i].counters));
-        report->add_series(run, std::move(outputs[i].series));
-      }
-    }
+    telemetry::BenchReport::Row row;
+    row.text["policy"] = run;
+    row.num["offered_msgs_per_s"] = rate;
+    row.num["accepted_msgs_per_s"] = r.accepted_msgs_per_s_per_host;
+    row.num["latency_mean_ns"] = r.latency_mean_ns;
+    row.num["latency_p50_ns"] = r.latency_p50_ns;
+    row.num["latency_p95_ns"] = r.latency_p95_ns;
+    row.num["latency_p99_ns"] = r.latency_p99_ns;
+    row.num["latency_p999_ns"] = r.latency_p999_ns;
+    row.num["sends_refused"] = static_cast<double>(r.sends_refused);
+    row.num["retransmissions"] = static_cast<double>(r.retransmissions);
+    report.add_row("sweep", std::move(row));
+    report.add_histogram("latency_rate_" + std::to_string(int(rate)), run,
+                         r.latency_hist);
   }
   return points;
 }
@@ -173,15 +150,12 @@ double saturation_throughput(const std::vector<SweepPoint>& pts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
+  core::Bench bench("motivation_throughput", argc, argv, core::Bench::kSweep);
   const std::uint64_t seed = 2001;
   const std::vector<double> rates = {2.5e3, 5e3,   1e4,   1.5e4,
                                      2e4,   2.5e4, 3e4,   4e4};
 
-  telemetry::BenchReport report("motivation_throughput");
+  telemetry::BenchReport& report = bench.report();
   report.set_param("seed", static_cast<double>(seed));
   report.set_param("message_bytes", 512);
 
@@ -220,14 +194,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  telemetry::BenchReport* rp = json_path ? &report : nullptr;
-  health::LivenessVerdict liveness;
-  health::LivenessVerdict* lp = watchdog ? &liveness : nullptr;
-  flight::BenchFlight bflight(fcli);
-  flight::BenchFlight* bf = fcli.enabled ? &bflight : nullptr;
-  auto ud =
-      sweep(routing::Policy::kUpDown, seed, rates, rp, "ud", jobs, lp, bf);
-  auto itb = sweep(routing::Policy::kItb, seed, rates, rp, "itb", jobs, lp, bf);
+  auto ud = sweep(routing::Policy::kUpDown, seed, rates, "ud", bench);
+  auto itb = sweep(routing::Policy::kItb, seed, rates, "itb", bench);
 
   std::printf("\nuniform traffic, 512 B messages, accepted msgs/s/host and "
               "mean latency:\n\n");
@@ -249,18 +217,7 @@ int main(int argc, char** argv) {
               "ratio = %.2fx\n(paper claim from [2,3]: 2x-3x on the bare "
               "fabric; our figure includes full\nGM endpoint overheads, "
               "which compress the ratio)\n", f, matched);
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("motivation_throughput", rp)) return 1;
-
-  if (json_path) {
-    report.add_scalar("saturation_ratio", f);
-    report.add_scalar("best_matched_load_ratio", matched);
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
-    }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
-  }
-  return 0;
+  report.add_scalar("saturation_ratio", f);
+  report.add_scalar("best_matched_load_ratio", matched);
+  return bench.finish();
 }

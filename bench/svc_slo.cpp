@@ -28,12 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "itb/core/cluster.hpp"
-#include "itb/core/parallel.hpp"
-#include "itb/flight/bench_support.hpp"
-#include "itb/health/watchdog.hpp"
+#include "itb/core/bench.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/svc/openloop.hpp"
-#include "itb/telemetry/export.hpp"
 
 namespace {
 
@@ -74,18 +71,14 @@ struct PointOutput {
   svc::OpenLoopStats driver;
   std::uint64_t retransmissions = 0;
   sim::Time sim_end = 0;
-  std::vector<telemetry::MetricSample> counters;
-  health::LivenessVerdict liveness;
-  flight::Recording recording;
+  core::Capture capture;
 };
 
-PointOutput run_point(const PointSpec& ps, bool watchdog,
-                      const flight::RecorderConfig& frc) {
+PointOutput run_point(const PointSpec& ps, const core::Bench& bench) {
   core::ClusterConfig cfg;
   cfg.topology = make_network(kSeed);
   cfg.policy = ps.policy;
-  cfg.flight = frc;
-  cfg.watchdog.enabled = watchdog;
+  bench.arm(cfg);
   // Loaded-network MCP (paper §4): circular pool, drop when full; GM
   // retransmission recovers. Deep send queues so the fabric saturates
   // before GM token flow control does.
@@ -153,9 +146,7 @@ PointOutput run_point(const PointSpec& ps, bool watchdog,
   for (auto* port : cluster.ports())
     out.retransmissions += port->stats().retransmissions;
   out.sim_end = cluster.queue().now();
-  if (ps.sample) out.counters = cluster.telemetry().registry().snapshot();
-  if (watchdog) out.liveness = cluster.health()->verdict();
-  if (cluster.flight()) out.recording = cluster.flight()->snapshot();
+  out.capture = bench.capture(cluster, ps.sample);
   return out;
 }
 
@@ -242,12 +233,9 @@ void print_row(const char* label, double rate, const PointOutput& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
-  const unsigned jobs = core::jobs_flag(argc, argv).value_or(0);
-  const bool watchdog = health::watchdog_flag(argc, argv);
-  const auto fcli = flight::flight_flags(argc, argv);
+  core::Bench bench("svc_slo", argc, argv, core::Bench::kSweep);
 
-  telemetry::BenchReport report("svc_slo");
+  telemetry::BenchReport& report = bench.report();
   report.set_param("seed", static_cast<double>(kSeed));
   report.set_param("mean_service_ns", 300.0 * sim::kUs);
   report.set_param("measure_ns", static_cast<double>(kMeasure));
@@ -259,7 +247,7 @@ int main(int argc, char** argv) {
   for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb})
     for (std::size_t i = 0; i < kRates.size(); ++i)
       points.push_back({policy, kRates[i], svc::SvcPattern::kUniform, false,
-                        json_path.has_value() && i + 1 == kRates.size()});
+                        bench.json() && i + 1 == kRates.size()});
   const std::size_t pattern_begin = points.size();
   for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb}) {
     points.push_back({policy, kIncastRate, svc::SvcPattern::kIncast});
@@ -270,11 +258,9 @@ int main(int argc, char** argv) {
   for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb})
     points.push_back({policy, 1.5e4, svc::SvcPattern::kUniform, true, false});
 
-  auto outputs = core::run_sweep_parallel(
-      points.size(),
-      [&](std::size_t i) { return run_point(points[i], watchdog,
-                                            fcli.recorder()); },
-      jobs);
+  auto outputs = sim::run_sweep_parallel(
+      points.size(), [&](std::size_t i) { return run_point(points[i], bench); },
+      bench.jobs());
 
   std::printf("svc_slo: 8-switch irregular COW, 32 hosts; open-loop "
               "lognormal arrivals,\nbounded-Pareto service (mean 300us, "
@@ -305,12 +291,8 @@ int main(int argc, char** argv) {
   // sweep's 70%-of-saturation operating point. Saturation = the offered
   // rate with peak goodput; headline = the largest swept rate at or below
   // 70% of it.
-  health::LivenessVerdict liveness;
-  flight::BenchFlight bflight(fcli);
   double sat_rate = kRates.front(), best_goodput = -1;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (watchdog) liveness.merge(outputs[i].liveness);
-    if (fcli.enabled) bflight.add(std::move(outputs[i].recording));
     if (points[i].policy == routing::Policy::kItb && !points[i].chaos &&
         points[i].pattern == svc::SvcPattern::kUniform) {
       const auto g = static_cast<double>(
@@ -353,47 +335,29 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (watchdog) health::print_liveness_summary(liveness);
-  if (!bflight.finish("svc_slo", json_path ? &report : nullptr)) return 1;
-
-  if (json_path) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const char* table = i < pattern_begin ? "sweep"
-                          : i < chaos_begin ? "patterns"
-                                            : "chaos";
-      add_slo_rows(report, table, points[i], outputs[i]);
-      if (points[i].sample) {
-        report.add_counters(std::string(policy_name(points[i].policy)) +
-                                "_rate_" +
-                                std::to_string(static_cast<int>(
-                                    points[i].rate)),
-                            std::move(outputs[i].counters));
-      }
-      if (i + 1 == kRates.size() || i + 1 == 2 * kRates.size()) {
-        const auto all = outputs[i].slo.combined();
-        report.add_histogram("svc_total_latency",
-                             policy_name(points[i].policy), all.total);
-        report.add_histogram("svc_admit_wait",
-                             policy_name(points[i].policy), all.admit);
-      }
-      if (points[i].chaos && watchdog) {
-        telemetry::BenchReport::Row row;
-        row.text["policy"] = policy_name(points[i].policy);
-        row.num["health_stalls"] =
-            static_cast<double>(outputs[i].liveness.stalls);
-        row.num["health_recoveries"] =
-            static_cast<double>(outputs[i].liveness.recoveries);
-        row.num["health_unrecovered"] =
-            static_cast<double>(outputs[i].liveness.unrecovered);
-        report.add_row("chaos_health", std::move(row));
-      }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const char* policy = policy_name(points[i].policy);
+    const char* table = i < pattern_begin ? "sweep"
+                        : i < chaos_begin ? "patterns"
+                                          : "chaos";
+    add_slo_rows(report, table, points[i], outputs[i]);
+    if (i + 1 == kRates.size() || i + 1 == 2 * kRates.size()) {
+      const auto all = outputs[i].slo.combined();
+      report.add_histogram("svc_total_latency", policy, all.total);
+      report.add_histogram("svc_admit_wait", policy, all.admit);
     }
-    if (watchdog) health::add_liveness_scalars(report, liveness);
-    if (!report.write(*json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path->c_str());
-      return 1;
+    if (points[i].chaos && bench.watchdog()) {
+      const health::LivenessVerdict& v = outputs[i].capture.liveness;
+      telemetry::BenchReport::Row row;
+      row.text["policy"] = policy;
+      row.num["health_stalls"] = static_cast<double>(v.stalls);
+      row.num["health_recoveries"] = static_cast<double>(v.recoveries);
+      row.num["health_unrecovered"] = static_cast<double>(v.unrecovered);
+      report.add_row("chaos_health", std::move(row));
     }
-    std::printf("\nJSON report written to %s\n", json_path->c_str());
+    bench.add(std::move(outputs[i].capture),
+              std::string(policy) + "_rate_" +
+                  std::to_string(static_cast<int>(points[i].rate)));
   }
-  return 0;
+  return bench.finish();
 }

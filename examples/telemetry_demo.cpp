@@ -17,8 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "itb/core/cluster.hpp"
-#include "itb/telemetry/export.hpp"
+#include "itb/core/bench.hpp"
 #include "itb/workload/load.hpp"
 
 namespace {
@@ -48,13 +47,16 @@ char shade(double u) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = telemetry::json_flag(argc, argv);
+  const std::vector<core::Flag> flags = {{"--json", core::Flag::kPath}};
+  const auto args =
+      core::parse_args_or_exit(argc, argv, flags, core::Rest::kOperands);
+  const auto json_path = args.value("--json");
   double rate = 8e3;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--json") { ++i; continue; }
-    if (a.rfind("--json=", 0) == 0) continue;
-    rate = std::strtod(argv[i], nullptr);
+  if (!args.rest.empty()) {
+    char* end = nullptr;
+    rate = std::strtod(args.rest[0].c_str(), &end);
+    if (*end != '\0' || args.rest.size() > 1)
+      core::usage_exit(argv[0], flags, "expected one numeric rate");
   }
 
   core::ClusterConfig cfg;

@@ -164,14 +164,4 @@ class LivenessWatchdog {
   std::vector<std::uint16_t> wedged_hosts_;
 };
 
-/// `--watchdog` flag (bench plumbing; value-less, position-independent).
-bool watchdog_flag(int argc, char** argv);
-
-/// One-line stdout summary for benches, printed only when --watchdog is on.
-void print_liveness_summary(const LivenessVerdict& v);
-
-/// Standard JSON scalars for a bench report (health_* names).
-void add_liveness_scalars(telemetry::BenchReport& report,
-                          const LivenessVerdict& v);
-
 }  // namespace itb::health

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <stdexcept>
 
 #include "itb/sim/alloc_hook.hpp"
 
@@ -334,24 +333,6 @@ bool BenchReport::write(const std::string& path) const {
   if (!out) return false;
   write(out);
   return out.good();
-}
-
-std::optional<std::string> json_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--json") {
-      if (i + 1 >= argc)
-        throw std::invalid_argument("--json requires a file path");
-      return std::string(argv[i + 1]);
-    }
-    if (arg.rfind("--json=", 0) == 0) {
-      auto path = std::string(arg.substr(7));
-      if (path.empty())
-        throw std::invalid_argument("--json requires a file path");
-      return path;
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace itb::telemetry

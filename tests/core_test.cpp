@@ -8,7 +8,7 @@
 #include <tuple>
 
 #include "itb/core/experiments.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/workload/load.hpp"
 #include "itb/workload/pingpong.hpp"
 
@@ -245,7 +245,7 @@ TEST(Load, SweepResultsAreJobsInvariant) {
   // bit-identical no matter how many workers run the sweep.
   const std::vector<double> rates = {1e3, 3e3, 6e3};
   auto run_sweep = [&](unsigned jobs) {
-    return core::run_sweep_parallel(
+    return sim::run_sweep_parallel(
         rates.size(),
         [&](std::size_t i) {
           core::ClusterConfig cfg;

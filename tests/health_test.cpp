@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "itb/core/bench.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/fault/fault.hpp"
 #include "itb/health/diagnosis.hpp"
@@ -376,9 +377,18 @@ TEST(ChaosHotspot, BurstRidesAlongsideOtherChaosWithoutPerturbingIt) {
 
 TEST(WatchdogFlag, ParsesFromArgv) {
   const char* argv1[] = {"bench", "--watchdog", "--jobs", "4"};
-  EXPECT_TRUE(health::watchdog_flag(4, const_cast<char**>(argv1)));
+  const core::Bench on("bench", 4, const_cast<char**>(argv1),
+                       core::Bench::kSweep);
+  EXPECT_TRUE(on.watchdog());
+  EXPECT_TRUE(on.watchdog_config().enabled);
   const char* argv2[] = {"bench", "--jobs", "4"};
-  EXPECT_FALSE(health::watchdog_flag(3, const_cast<char**>(argv2)));
+  const core::Bench off("bench", 3, const_cast<char**>(argv2),
+                        core::Bench::kSweep);
+  EXPECT_FALSE(off.watchdog());
+  core::ClusterConfig cfg;
+  cfg.watchdog.enabled = true;
+  off.arm(cfg);
+  EXPECT_FALSE(cfg.watchdog.enabled);
 }
 
 TEST(LivenessVerdict, MergeAggregatesAcrossRuns) {

@@ -1,7 +1,7 @@
 // Tests for the parallel sweep runner: exactly-once execution, inline
-// serial path, exception propagation, ordered results, --jobs parsing, and
-// the determinism contract (a real cluster sweep is bit-identical for any
-// job count).
+// serial path, exception propagation, ordered results, the bench harness's
+// command line (--jobs and bench-specific flags), and the determinism
+// contract (a real cluster sweep is bit-identical for any job count).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,15 +10,23 @@
 #include <stdexcept>
 #include <vector>
 
+#include "itb/core/bench.hpp"
 #include "itb/core/experiments.hpp"
-#include "itb/core/parallel.hpp"
+#include "itb/sim/parallel.hpp"
 #include "itb/workload/pingpong.hpp"
 
 namespace {
 
-using itb::core::ParallelRunner;
-using itb::core::jobs_flag;
-using itb::core::run_sweep_parallel;
+using itb::core::Bench;
+using itb::core::Flag;
+using itb::core::parse_args;
+using itb::sim::ParallelRunner;
+using itb::sim::run_sweep_parallel;
+
+template <std::size_t N>
+itb::core::Args parse(const char* (&argv)[N], std::vector<Flag> flags) {
+  return parse_args(N, const_cast<char**>(argv), flags);
+}
 
 TEST(ParallelRunner, RunsEveryIndexExactlyOnce) {
   const std::size_t count = 100;
@@ -86,33 +94,90 @@ TEST(RunSweepParallel, MoveOnlyResultsWork) {
 TEST(JobsFlag, ParsesBothSpellings) {
   {
     const char* argv[] = {"bench", "--jobs", "3"};
-    EXPECT_EQ(jobs_flag(3, const_cast<char**>(argv)), 3u);
+    EXPECT_EQ(Bench("bench", 3, const_cast<char**>(argv), Bench::kJobs).jobs(),
+              3u);
   }
   {
     const char* argv[] = {"bench", "--jobs=12"};
-    EXPECT_EQ(jobs_flag(2, const_cast<char**>(argv)), 12u);
+    EXPECT_EQ(Bench("bench", 2, const_cast<char**>(argv), Bench::kJobs).jobs(),
+              12u);
   }
   {
+    // Absent: 0, which ParallelRunner reads as hardware concurrency.
     const char* argv[] = {"bench", "--json", "out.json"};
-    EXPECT_EQ(jobs_flag(3, const_cast<char**>(argv)), std::nullopt);
+    EXPECT_EQ(Bench("bench", 3, const_cast<char**>(argv), Bench::kJobs).jobs(),
+              0u);
   }
 }
 
 TEST(JobsFlag, RejectsMissingOrMalformedValues) {
+  const std::vector<Flag> flags = {{"--jobs", Flag::kCount},
+                                   {"--watchdog"}};
   {
     const char* argv[] = {"bench", "--jobs"};
-    EXPECT_THROW(jobs_flag(2, const_cast<char**>(argv)),
-                 std::invalid_argument);
+    EXPECT_THROW(parse(argv, flags), std::invalid_argument);
   }
   {
     const char* argv[] = {"bench", "--jobs", "fast"};
-    EXPECT_THROW(jobs_flag(3, const_cast<char**>(argv)),
-                 std::invalid_argument);
+    EXPECT_THROW(parse(argv, flags), std::invalid_argument);
   }
   {
     const char* argv[] = {"bench", "--jobs="};
-    EXPECT_THROW(jobs_flag(2, const_cast<char**>(argv)),
-                 std::invalid_argument);
+    EXPECT_THROW(parse(argv, flags), std::invalid_argument);
+  }
+  {
+    const char* argv[] = {"bench", "--jobs", "-1"};
+    EXPECT_THROW(parse(argv, flags), std::invalid_argument);
+  }
+  {
+    const char* argv[] = {"bench", "--jobs", "--watchdog"};
+    EXPECT_THROW(parse(argv, flags), std::invalid_argument);
+  }
+}
+
+TEST(BenchArgs, BenchFlagsTakeBothSpellings) {
+  const std::vector<Flag> flags = {{"--max-hosts", Flag::kCount},
+                                   {"--routes-out", Flag::kPath},
+                                   {"--no-verify"}};
+  const char* argv[] = {"bench", "--max-hosts=256", "--routes-out", "r.txt",
+                        "--no-verify"};
+  const auto args = parse(argv, flags);
+  EXPECT_EQ(args.count("--max-hosts", 0), 256u);
+  EXPECT_EQ(args.value("--routes-out"), "r.txt");
+  EXPECT_TRUE(args.has("--no-verify"));
+  EXPECT_EQ(args.count("--jobs", 7), 7u);
+}
+
+TEST(BenchArgs, RejectsMissingMaxHostsValue) {
+  const std::vector<Flag> flags = {{"--max-hosts", Flag::kCount},
+                                   {"--jobs", Flag::kCount}};
+  {
+    const char* argv[] = {"bench", "--max-hosts"};
+    EXPECT_THROW(parse(argv, flags), std::invalid_argument);
+  }
+  {
+    const char* argv[] = {"bench", "--max-hosts", "--jobs", "4"};
+    EXPECT_THROW(parse(argv, flags), std::invalid_argument);
+  }
+}
+
+TEST(BenchArgs, RejectsUnknownFlagsAndOperands) {
+  const std::vector<Flag> flags = {{"--jobs", Flag::kCount}};
+  {
+    const char* argv[] = {"bench", "--jbos", "4"};
+    EXPECT_THROW(parse(argv, flags), std::invalid_argument);
+  }
+  {
+    const char* argv[] = {"bench", "4"};
+    EXPECT_THROW(parse(argv, flags), std::invalid_argument);
+  }
+  {
+    const char* argv[] = {"bench", "--jobs=4", "--benchmark_filter=x", "y"};
+    const auto args = parse_args(4, const_cast<char**>(argv), flags,
+                                 itb::core::Rest::kAll);
+    EXPECT_EQ(args.count("--jobs", 0), 4u);
+    EXPECT_EQ(args.rest,
+              (std::vector<std::string>{"--benchmark_filter=x", "y"}));
   }
 }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "itb/core/bench.hpp"
 #include "itb/core/cluster.hpp"
 #include "itb/core/experiments.hpp"
 #include "itb/sim/rng.hpp"
@@ -570,27 +571,18 @@ TEST(Export, BenchReportRoundTrip) {
 }
 
 TEST(Export, JsonFlagParsing) {
-  {
-    const char* argv[] = {"bench", "--json", "out.json"};
-    auto got = telemetry::json_flag(3, const_cast<char**>(argv));
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, "out.json");
-  }
-  {
-    const char* argv[] = {"bench", "--json=other.json"};
-    auto got = telemetry::json_flag(2, const_cast<char**>(argv));
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, "other.json");
-  }
-  {
-    const char* argv[] = {"bench", "positional"};
-    EXPECT_FALSE(telemetry::json_flag(2, const_cast<char**>(argv)).has_value());
-  }
-  {
-    const char* argv[] = {"bench", "--json"};
-    EXPECT_THROW(telemetry::json_flag(2, const_cast<char**>(argv)),
-                 std::invalid_argument);
-  }
+  const std::vector<core::Flag> flags = {{"--json", core::Flag::kPath}};
+  auto json = [&](std::vector<const char*> argv) {
+    return core::parse_args(static_cast<int>(argv.size()),
+                            const_cast<char**>(argv.data()), flags,
+                            core::Rest::kOperands)
+        .value("--json");
+  };
+  EXPECT_EQ(json({"bench", "--json", "out.json"}), "out.json");
+  EXPECT_EQ(json({"bench", "--json=other.json"}), "other.json");
+  EXPECT_FALSE(json({"bench", "positional"}).has_value());
+  EXPECT_THROW(json({"bench", "--json"}), std::invalid_argument);
+  EXPECT_THROW(json({"bench", "--json="}), std::invalid_argument);
 }
 
 }  // namespace
