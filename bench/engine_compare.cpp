@@ -47,19 +47,19 @@ std::vector<Point> make_points() {
   return pts;
 }
 
-std::vector<engine::EngineSpec> make_specs() {
+std::vector<engine::DeadlockEngine> engine_lineup() {
   return {
-      engine::EngineSpec{engine::EngineKind::kUpDown, 1},
-      engine::EngineSpec{engine::EngineKind::kItb, 1},
-      engine::EngineSpec{engine::EngineKind::kVcEscape, 2},
-      engine::EngineSpec{engine::EngineKind::kVcEscape, 4},
+      engine::DeadlockEngine(routing::Policy::kUpDown, 1),
+      engine::DeadlockEngine(routing::Policy::kItb, 1),
+      engine::DeadlockEngine(routing::Policy::kVcEscape, 2),
+      engine::DeadlockEngine(routing::Policy::kVcEscape, 4),
   };
 }
 
-std::string spec_label(const engine::EngineSpec& spec) {
-  if (spec.kind == engine::EngineKind::kVcEscape)
-    return "vc" + std::to_string(spec.lanes);
-  return engine::to_string(spec.kind);
+std::string engine_label(const engine::DeadlockEngine& eng) {
+  if (eng.policy() == routing::Policy::kVcEscape)
+    return "vc" + std::to_string(eng.lane_count());
+  return eng.name();
 }
 
 struct Result {
@@ -75,11 +75,11 @@ struct Result {
 };
 
 /// Same traffic run for every engine: the solved table goes in as manual
-/// routes (identical injection pattern), the engine spec arms the lane
-/// arbitration.
+/// routes (identical injection pattern), the engine's policy and lane count
+/// arm the lane arbitration.
 void run_traffic(const topo::Topology& fabric,
                  const routing::RouteTable& table,
-                 const engine::EngineSpec& spec, Result& out) {
+                 const engine::DeadlockEngine& eng, Result& out) {
   const auto hosts = fabric.host_count();
   std::vector<std::vector<std::vector<packet::Route>>> manual(
       hosts, std::vector<std::vector<packet::Route>>(hosts));
@@ -89,7 +89,8 @@ void run_traffic(const topo::Topology& fabric,
 
   core::ClusterConfig cfg;
   cfg.topology = fabric;
-  cfg.engine = spec;
+  cfg.policy = eng.policy();
+  cfg.vc_lanes = eng.lane_count();
   cfg.manual_routes = std::move(manual);
   // Loaded-network MCP configuration (see motivation_throughput): circular
   // receive pool + drop-on-full so in-transit forwarding cannot wedge.
@@ -118,7 +119,7 @@ int main(int argc, char** argv) {
   core::Bench bench("engine_compare", argc, argv, core::Bench::kJobs);
   const unsigned jobs = bench.jobs();
   telemetry::BenchReport& report = bench.report();
-  const auto specs = make_specs();
+  auto engines = engine_lineup();
 
   std::printf(
       "Deadlock-engine comparison (identical topology + traffic per row)\n\n");
@@ -133,26 +134,25 @@ int main(int argc, char** argv) {
     routing::UpDown updown(pt.topo, 0);
     routing::Router router(updown);
 
-    for (const auto& spec : specs) {
-      auto eng = engine::make_engine(spec);
-      eng->bind(updown, pt.topo, {});
-      routing::RouteTable table(router, eng->policy(), jobs, spec.lanes);
+    for (auto& eng : engines) {
+      eng.bind(updown, pt.topo, {});
+      routing::RouteTable table(router, eng.policy(), jobs, eng.lane_count());
 
       Result res;
       res.avg_hops = table.average_trunk_hops();
       res.minimal_frac = table.minimal_fraction(router, jobs);
       res.avg_itbs = table.average_itbs();
-      res.buffer_lanes = eng->buffer_lanes_per_port();
-      res.host_buffers = eng->uses_host_buffers();
-      res.deadlock_free = engine::verify_deadlock_free(*eng, table, pt.topo);
+      res.buffer_lanes = eng.lane_count();
+      res.host_buffers = eng.uses_host_buffers();
+      res.deadlock_free = engine::verify_deadlock_free(eng, table, pt.topo);
       if (!res.deadlock_free) {
         std::fprintf(stderr, "FATAL: %s on %s has a cyclic per-lane CDG\n",
-                     eng->name(), pt.label.c_str());
+                     eng.name(), pt.label.c_str());
         all_verified = false;
       }
-      run_traffic(pt.topo, table, spec, res);
+      run_traffic(pt.topo, table, eng, res);
 
-      const std::string label = spec_label(spec);
+      const std::string label = engine_label(eng);
       std::printf("%-8s %-7s %5u %7.2f %5.0f%% %6.2f %7s | %9.0f %8.1f %8.1f\n",
                   pt.label.c_str(), label.c_str(), res.buffer_lanes,
                   res.avg_hops, 100.0 * res.minimal_frac, res.avg_itbs,

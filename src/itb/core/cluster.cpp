@@ -4,34 +4,14 @@
 
 namespace itb::core {
 
-Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
+Cluster::Cluster(ClusterConfig config)
+    : config_(std::move(config)), engine_(config_.policy, config_.vc_lanes) {
   config_.topology.validate();
   const auto hosts = config_.topology.host_count();
 
-  // Resolve the deadlock engine: an explicit spec wins (and dictates the
-  // routing policy); otherwise derive the single-lane engine matching the
-  // configured policy.
-  if (config_.engine) {
-    engine_spec_ = *config_.engine;
-  } else {
-    switch (config_.policy) {
-      case routing::Policy::kUpDown:
-        engine_spec_ = engine::EngineSpec{engine::EngineKind::kUpDown, 1};
-        break;
-      case routing::Policy::kItb:
-        engine_spec_ = engine::EngineSpec{engine::EngineKind::kItb, 1};
-        break;
-      case routing::Policy::kVcEscape:
-        engine_spec_ = engine::EngineSpec{engine::EngineKind::kVcEscape, 2};
-        break;
-    }
-  }
-  engine_ = engine::make_engine(engine_spec_);
-  config_.policy = engine_->policy();
-
   network_ = std::make_unique<net::Network>(config_.topology,
                                             config_.net_timing, queue_, tracer_);
-  if (engine_->lane_count() > 1) network_->set_lane_policy(engine_.get());
+  network_->set_lane_policy(&engine_);
   if (config_.flight.enabled) {
     flight_ = std::make_unique<flight::FlightRecorder>(config_.flight);
     network_->set_flight_recorder(flight_.get());
@@ -57,19 +37,19 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
           nics_[s]->set_route(d, routes[s][d]);
     // Hand-built routes were (by contract) planned against the root-0
     // orientation of the true topology.
-    engine_->bind(routing::UpDown(config_.topology, 0), config_.topology, {});
+    engine_.bind(routing::UpDown(config_.topology, 0), config_.topology, {});
   } else {
     // Run the mapper: discovery walk + route computation + table download.
-    auto result = mapper::run(config_.topology, config_.policy,
+    auto result = mapper::run(config_.topology, engine_.policy(),
                               config_.mapper_root_host, config_.itb_selection,
                               /*allow_partial=*/false, config_.route_solve_jobs,
-                              engine_spec_.lanes);
+                              engine_.lane_count());
     report_ = std::move(result.report);
     table_ = std::move(result.table);
     // Bind the engine to the orientation the solve used (discovered
     // coordinates, translated to true fabric indices via switch_of).
-    engine_->bind(routing::UpDown(report_->discovered, 0), config_.topology,
-                  report_->switch_of);
+    engine_.bind(routing::UpDown(report_->discovered, 0), config_.topology,
+                 report_->switch_of);
     for (auto& nic : nics_) nic->load_routes(*table_);
   }
 
@@ -98,21 +78,14 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
       nic_ptrs.reserve(nics_.size());
       for (auto& nic : nics_) nic_ptrs.push_back(nic.get());
       fault::RecoveryManager::Config rc;
-      rc.policy = config_.policy;
       rc.selection = config_.itb_selection;
       rc.preferred_root_host = config_.mapper_root_host;
       rc.remap_delay = config_.remap_delay;
       rc.route_jobs = config_.route_solve_jobs;
-      rc.vc_lanes = engine_spec_.lanes;
-      // Recovery solves over the TRUE fabric (usability-masked), so the
-      // re-bind needs no switch translation.
-      rc.on_orientation = [this](const routing::UpDown& ud) {
-        engine_->bind(ud, config_.topology, {});
-      };
       rc.tuning = config_.recovery;
       recovery_ = std::make_unique<fault::RecoveryManager>(
           queue_, tracer_, config_.topology, *fault_injector_,
-          std::move(nic_ptrs), rc);
+          std::move(nic_ptrs), engine_, rc);
     }
   }
 
@@ -189,9 +162,9 @@ bool Cluster::routes_deadlock_free() const {
   // is bound in true coordinates — so check with a throwaway engine bound
   // over the discovered topology itself. Single-lane engines reduce to the
   // classical CDG either way.
-  auto check = engine::make_engine(engine_spec_);
-  check->bind(routing::UpDown(report_->discovered, 0), report_->discovered, {});
-  return engine::verify_deadlock_free(*check, *table_, report_->discovered);
+  engine::DeadlockEngine check(engine_.policy(), engine_.lane_count());
+  check.bind(routing::UpDown(report_->discovered, 0), report_->discovered, {});
+  return engine::verify_deadlock_free(check, *table_, report_->discovered);
 }
 
 bool Cluster::routes_buffer_wedge_free() const {

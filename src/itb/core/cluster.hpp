@@ -8,7 +8,8 @@
 // Typical use:
 //   core::ClusterConfig cfg;
 //   cfg.topology = topo::make_fig1_network();
-//   cfg.policy = routing::Policy::kItb;
+//   cfg.policy = routing::Policy::kItb;  // or kUpDown, or kVcEscape with
+//   cfg.vc_lanes = 4;                    // a lane budget (ignored otherwise)
 //   core::Cluster cluster(cfg);
 //   cluster.port(0).send(5, message);
 //   cluster.run();
@@ -41,13 +42,13 @@ namespace itb::core {
 
 struct ClusterConfig {
   topo::Topology topology;
+  /// Deadlock-freedom mechanism. The cluster builds one engine from
+  /// `policy` and `vc_lanes`; the table solve, the lane arbitration and the
+  /// recovery re-solves all read it, so they can never disagree.
   routing::Policy policy = routing::Policy::kUpDown;
-  /// Deadlock-freedom engine. Unset = derived from `policy` (kUpDown and
-  /// kItb map to their single-lane engines, kVcEscape to a 2-lane escape
-  /// engine). When set it WINS: `policy` is overridden with the engine's
-  /// required routing policy so the table solve, the lane arbitration and
-  /// the recovery re-solves can never disagree.
-  std::optional<engine::EngineSpec> engine;
+  /// Virtual lanes per physical channel under kVcEscape (clamped to >= 2);
+  /// kUpDown and kItb always run on one lane.
+  unsigned vc_lanes = 2;
   net::NetTiming net_timing;
   nic::LanaiTiming lanai_timing;
   nic::McpOptions mcp_options;  // defaults to the ITB-capable MCP
@@ -139,7 +140,7 @@ class Cluster {
   const topo::Topology& topology() const { return config_.topology; }
   /// The active deadlock-freedom engine (always present; single-lane for
   /// plain up*/down* and ITB clusters).
-  const engine::DeadlockEngine& deadlock_engine() const { return *engine_; }
+  const engine::DeadlockEngine& deadlock_engine() const { return engine_; }
   const routing::RouteTable* route_table() const {
     return table_ ? &*table_ : nullptr;
   }
@@ -170,8 +171,7 @@ class Cluster {
   std::unique_ptr<flight::FlightRecorder> flight_;
   // Before network_ too: the network arbitrates through the engine's
   // LanePolicy pointer.
-  engine::EngineSpec engine_spec_;
-  std::unique_ptr<engine::DeadlockEngine> engine_;
+  engine::DeadlockEngine engine_;
   std::unique_ptr<net::Network> network_;
   std::optional<mapper::DiscoveryReport> report_;
   std::optional<routing::RouteTable> table_;

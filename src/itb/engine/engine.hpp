@@ -1,8 +1,8 @@
-// Pluggable deadlock-freedom engines.
+// Deadlock-freedom engines.
 //
 // The paper's in-transit buffers are ONE way to make minimal routing legal
-// on an up*/down*-oriented irregular network. This subsystem abstracts the
-// mechanism behind a policy interface so structurally different answers can
+// on an up*/down*-oriented irregular network. This subsystem puts the
+// mechanism behind one engine class so structurally different answers can
 // be swapped, compared on identical topology and traffic, and statically
 // verified with the same per-lane channel-dependency-graph machinery:
 //
@@ -25,10 +25,11 @@
 // hold: the routing restriction (routing::Policy fed to the table solve),
 // the lane count + lane-selection function (net::LanePolicy driving the
 // wormhole arbitration), and the buffer accounting the bench reports.
+// routing::Policy plus a lane budget is its whole identity: up*/down* and
+// ITB are the lane ladder with a single lane.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "itb/net/lanes.hpp"
@@ -40,34 +41,35 @@
 
 namespace itb::engine {
 
-enum class EngineKind : std::uint8_t { kUpDown, kItb, kVcEscape };
-
-/// Serializable engine selection (ClusterConfig carries one).
-struct EngineSpec {
-  EngineKind kind = EngineKind::kItb;
-  /// Virtual lanes per physical channel; only kVcEscape reads it (>= 2).
-  unsigned lanes = 2;
-};
-
 /// One deadlock-freedom mechanism: routing restriction + lane policy +
-/// buffer accounting. Engines are stateless apart from the bound up*/down*
-/// orientation, so one instance serves a whole cluster.
-class DeadlockEngine : public net::LanePolicy {
+/// buffer accounting. Stateless apart from the bound up*/down* orientation,
+/// so one instance serves a whole cluster. Keeps a per-directed-channel
+/// up/down table in TRUE fabric coordinates so the multi-lane hot path is
+/// one array read plus a couple of branches.
+class DeadlockEngine final : public net::LanePolicy {
  public:
-  virtual EngineKind kind() const = 0;
-  virtual const char* name() const = 0;
+  /// kUpDown and kItb run on one lane (`vc_lanes` is ignored); kVcEscape
+  /// runs on max(vc_lanes, 2) — the escape scheme needs two lanes to mean
+  /// anything.
+  DeadlockEngine(routing::Policy policy, unsigned vc_lanes);
+
+  /// "updown", "itb" or "vc-escape".
+  const char* name() const;
 
   /// Routing policy the route table must be solved under.
-  virtual routing::Policy policy() const = 0;
+  routing::Policy policy() const { return policy_; }
 
-  /// Flit-buffer lanes per physical port the switch hardware must provide
-  /// (the bench's wire-storage cost metric). Equals lane_count().
-  unsigned buffer_lanes_per_port() const { return lane_count(); }
+  /// Lanes per physical channel: the table solve's lane budget, and the
+  /// flit-buffer lanes per port the switch hardware must provide.
+  unsigned lane_count() const override { return lanes_; }
 
   /// Does the mechanism additionally consume host receive buffers for
   /// forwarding (the ITB pool)? Feeds the bench's buffer-cost row and the
   /// buffered wedge analysis.
-  virtual bool uses_host_buffers() const = 0;
+  bool uses_host_buffers() const { return policy_ == routing::Policy::kItb; }
+
+  std::uint8_t lane_for(net::LaneState& state,
+                        topo::Channel next) const override;
 
   /// Bind the engine to the orientation its route tables were solved under.
   /// `updown` may be computed over a DISCOVERED topology (the mapper path);
@@ -75,14 +77,19 @@ class DeadlockEngine : public net::LanePolicy {
   /// indices so lane decisions on live (true-coordinate) channels agree
   /// with the solve. Pass an empty `switch_of` when `updown` was built over
   /// `fabric` itself. Must be re-bound whenever recovery re-orients (the
-  /// RecoveryManager's on_orientation hook does this).
-  virtual void bind(const routing::UpDown& updown,
-                    const topo::Topology& fabric,
-                    const std::vector<std::uint16_t>& switch_of) = 0;
-};
+  /// RecoveryManager does so at each install). A single-lane engine never
+  /// changes lane, so binding it does nothing.
+  void bind(const routing::UpDown& updown, const topo::Topology& fabric,
+            const std::vector<std::uint16_t>& switch_of);
 
-/// Factory for the three built-in engines.
-std::unique_ptr<DeadlockEngine> make_engine(const EngineSpec& spec);
+ private:
+  enum class Dir : std::uint8_t { kUnoriented, kUp, kDown };
+  static constexpr std::uint8_t kSawDown = 1;
+
+  routing::Policy policy_;
+  unsigned lanes_;
+  std::vector<Dir> dir_;  // per directed channel of the bound fabric
+};
 
 /// Lane sequence the engine assigns to a route's trunk traversals (one
 /// entry per trunk channel, in order). Tests compare this against the
@@ -103,7 +110,5 @@ routing::DependencyGraph build_dependency_graph(const DeadlockEngine& engine,
 bool verify_deadlock_free(const DeadlockEngine& engine,
                           const routing::RouteTable& table,
                           const topo::Topology& topo);
-
-const char* to_string(EngineKind kind);
 
 }  // namespace itb::engine

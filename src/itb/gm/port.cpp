@@ -156,7 +156,7 @@ void GmPort::on_timeout(std::uint16_t dst) {
   }
   // Go-back-N: re-post everything outstanding.
   tracer_.emit(queue_.now(), sim::TraceCategory::kGm, [&] {
-    return "h" + std::to_string(nic_.host()) + " retransmit " +
+    return 'h' + std::to_string(nic_.host()) + " retransmit " +
            std::to_string(conn.unacked.size()) + " pkts to h" +
            std::to_string(dst);
   });
@@ -184,7 +184,7 @@ void GmPort::fail_connection(std::uint16_t dst) {
   ++stats_.send_failures;
   stats_.messages_failed += n;
   tracer_.emit(queue_.now(), sim::TraceCategory::kGm, [&] {
-    return "h" + std::to_string(nic_.host()) + " gives up on h" +
+    return 'h' + std::to_string(nic_.host()) + " gives up on h" +
            std::to_string(dst) + " after " + std::to_string(conn.backoff) +
            " retries, failing " + std::to_string(n) + " messages";
   });

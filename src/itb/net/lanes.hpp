@@ -8,10 +8,10 @@
 // channel dependency graph (routing::DependencyGraph with lane_count > 1)
 // can verify an engine's deadlock-freedom claim statically.
 //
-// The interface is deliberately tiny: the engine subsystem
-// (itb::engine::DeadlockEngine) implements it for each deadlock-freedom
-// mechanism; the network only ever calls these three functions on the hot
-// path and never allocates for them.
+// The interface is deliberately tiny: itb::engine::DeadlockEngine
+// implements it for every deadlock-freedom mechanism; the network reads
+// lane_count() at install time and calls lane_for() on the hot path, never
+// allocating for it.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +21,9 @@
 namespace itb::net {
 
 /// Per-worm lane-selection state, carried in the Worm and mutated by
-/// LanePolicy::lane_for once per traversal. POD so warm worm recycling
-/// resets it with two byte stores.
+/// LanePolicy::lane_for once per traversal. Every worm starts at
+/// LaneState{} (lane 0, flags clear); POD so warm worm recycling resets it
+/// with two byte stores.
 struct LaneState {
   std::uint8_t lane = 0;   // lane the worm currently rides
   std::uint8_t flags = 0;  // policy-private (VC ladder: saw-a-down bit)
@@ -37,11 +38,6 @@ class LanePolicy {
 
   /// Lanes per physical directed channel (>= 1, <= 255).
   virtual unsigned lane_count() const = 0;
-
-  /// Lane of the injection (host -> switch) traversal for a worm sourced at
-  /// `host`. Also resets any per-worm ladder state semantics: the returned
-  /// lane seeds LaneState::lane with flags cleared.
-  virtual std::uint8_t injection_lane(std::uint16_t host) const = 0;
 
   /// Lane for the next traversal `next`, called exactly once per traversal
   /// in route order (the result is captured before the channel request is

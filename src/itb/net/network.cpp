@@ -218,8 +218,7 @@ TxHandle Network::inject(std::uint16_t host, packet::Bytes bytes,
   w->held.clear();
   w->waiting_on.reset();
   w->waiting_lane = 0;
-  w->lane_state =
-      LaneState{lane_policy_ ? lane_policy_->injection_lane(host) : 0, 0};
+  w->lane_state = LaneState{};
   w->tail_time = -1;
   w->rx_started = false;
   w->tx_signaled = false;
@@ -234,10 +233,8 @@ TxHandle Network::inject(std::uint16_t host, packet::Bytes bytes,
   if (activity_hook_) activity_hook_();
 
   if (flight_)
-    // detail carries the injection lane — 0 on single-lane networks, so
-    // lane-less captures (the golden fig8 fingerprint) are byte-identical.
     flight_->record(flight::EventType::kInject, queue_.now(), w->handle, host,
-                    w->orig_len, w->lane_state.lane);
+                    w->orig_len);
   tracer_.emit(queue_.now(), sim::TraceCategory::kLink, [&] {
     return "inject h" + std::to_string(host) + " tx" +
            std::to_string(w->handle) + " " + packet::describe(w->bytes);

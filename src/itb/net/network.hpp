@@ -150,11 +150,6 @@ class Network {
   void set_lane_policy(const LanePolicy* policy);
   unsigned lane_count() const { return lanes_; }
 
-  /// Lane the policy assigns to injections at `host` (0 without a policy).
-  std::uint8_t injection_lane(std::uint16_t host) const {
-    return lane_policy_ ? lane_policy_->injection_lane(host) : 0;
-  }
-
   /// Install (or clear) the flight recorder. Off by default; when set,
   /// every lifecycle station (inject, channel block/grant, per-hop head
   /// motion, NIC eject, tail, terminal fates) records one packed event.

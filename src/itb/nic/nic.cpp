@@ -125,9 +125,6 @@ void Nic::register_metrics(telemetry::MetricRegistry& registry) const {
   registry.register_source(
       "nic", "send_pool_high_water", telemetry::MetricKind::kGauge,
       [this] { return static_cast<double>(send_pool_.high_water()); }, labels);
-  registry.register_source(
-      "nic", "injection_lane", telemetry::MetricKind::kGauge,
-      [this] { return static_cast<double>(injection_lane()); }, labels);
 }
 
 void Nic::send_pump() {
@@ -281,7 +278,7 @@ void Nic::start_reinjection(net::TxHandle h) {
     // programming; on_rx_aborted already released its receive buffer (and
     // erased the record). Release the send DMA and resume normal service.
     tracer_.emit(queue_.now(), sim::TraceCategory::kMcp, [&] {
-      return "h" + std::to_string(host_) + " ITB rx" + std::to_string(h) +
+      return 'h' + std::to_string(host_) + " ITB rx" + std::to_string(h) +
              " lost before re-injection";
     });
     set_send_dma(false);
@@ -299,7 +296,7 @@ void Nic::start_reinjection(net::TxHandle h) {
   rec->injected = true;
   ++stats_.itb_forwarded;
   tracer_.emit(queue_.now(), sim::TraceCategory::kMcp, [&] {
-    return "h" + std::to_string(host_) + " re-injecting ITB rx" +
+    return 'h' + std::to_string(host_) + " re-injecting ITB rx" +
            std::to_string(h);
   });
   queue_.schedule_in(
@@ -322,7 +319,7 @@ void Nic::on_rx_complete(sim::Time, net::WirePacket packet) {
       erase_rx(r);
       ++stats_.dropped_no_buffer;
       tracer_.emit(queue_.now(), sim::TraceCategory::kNic, [&] {
-        return "h" + std::to_string(host_) + " dropped rx" + std::to_string(h) +
+        return 'h' + std::to_string(host_) + " dropped rx" + std::to_string(h) +
                " (no buffer)";
       });
       return;

@@ -128,9 +128,6 @@ class Nic final : public net::HostHooks {
   const LanaiTiming& timing() const { return timing_; }
   std::uint16_t host() const { return host_; }
   const McpCpu& cpu() const { return cpu_; }
-  /// Virtual lane this NIC's injections start on (0 unless a multi-lane
-  /// deadlock engine is installed on the network).
-  std::uint8_t injection_lane() const { return network_.injection_lane(host_); }
 
   /// The network's flight recorder (nullptr when capture is off); the GM
   /// layer records its message-level events through this.

@@ -157,7 +157,7 @@ std::string describe(std::span<const std::uint8_t> buffer) {
   std::size_t i = 0;
   while (i < buffer.size()) {
     if (is_route_byte(buffer[i])) {
-      out += "p" + std::to_string(decode_route_byte(buffer[i])) + " ";
+      out += 'p' + std::to_string(decode_route_byte(buffer[i])) + " ";
       ++i;
       continue;
     }

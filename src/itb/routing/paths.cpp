@@ -337,7 +337,7 @@ std::size_t Router::updown_segments(
 }
 
 std::string describe(const HostPath& path, const topo::Topology& topo) {
-  std::string out = "h" + std::to_string(path.src_host);
+  std::string out = 'h' + std::to_string(path.src_host);
   std::size_t seg = 0;
   // Re-derive the switch sequence from the segments by walking the route
   // bytes from the source uplink switch.

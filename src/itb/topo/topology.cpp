@@ -13,8 +13,7 @@ const char* to_string(NodeKind k) {
 const char* to_string(PortKind k) { return k == PortKind::kSan ? "SAN" : "LAN"; }
 
 std::string to_string(NodeId id) {
-  return std::string(id.kind == NodeKind::kSwitch ? "s" : "h") +
-         std::to_string(id.index);
+  return (id.kind == NodeKind::kSwitch ? 's' : 'h') + std::to_string(id.index);
 }
 
 NodeId Topology::add_switch(std::uint8_t ports, std::string name) {

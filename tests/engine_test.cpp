@@ -1,10 +1,11 @@
-// Deadlock-engine subsystem (DESIGN.md §6l): the policy interface that
-// re-expresses up*/down*, the paper's ITBs and the new virtual-channel
-// escape engine behind one abstraction — lane ladder decomposition, the
-// vc-lane fallback when a minimal route needs more segments than lanes,
-// per-lane CDG verification, cluster wiring (bind, recovery re-bind), the
-// multi-lane zero-allocation steady state, and patch-vs-fresh parity for
-// kVcEscape tables.
+// Deadlock-engine subsystem (DESIGN.md §6l): the one engine class that
+// re-expresses up*/down*, the paper's ITBs and the virtual-channel escape
+// ladder from a routing::Policy and a lane count — lane ladder
+// decomposition, the vc-lane fallback when a minimal route needs more
+// segments than lanes, per-lane CDG verification, cluster wiring (bind,
+// solve-vs-arbitration lane agreement, recovery re-bind), the multi-lane
+// zero-allocation steady state, and patch-vs-fresh parity for kVcEscape
+// tables.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -20,39 +21,34 @@
 namespace {
 
 using namespace itb;
-using engine::EngineKind;
-using engine::EngineSpec;
+using engine::DeadlockEngine;
 using packet::Bytes;
+using routing::Policy;
 
 // ------------------------------------------------------------ factory --
 
 TEST(EngineFactory, ThreeEnginesExposeTheirContracts) {
-  const auto ud = engine::make_engine({EngineKind::kUpDown, 1});
-  EXPECT_EQ(ud->kind(), EngineKind::kUpDown);
-  EXPECT_STREQ(ud->name(), "updown");
-  EXPECT_EQ(ud->policy(), routing::Policy::kUpDown);
-  EXPECT_EQ(ud->lane_count(), 1u);
-  EXPECT_EQ(ud->buffer_lanes_per_port(), 1u);
-  EXPECT_FALSE(ud->uses_host_buffers());
+  const DeadlockEngine ud(Policy::kUpDown, 1);
+  EXPECT_STREQ(ud.name(), "updown");
+  EXPECT_EQ(ud.policy(), Policy::kUpDown);
+  EXPECT_EQ(ud.lane_count(), 1u);
+  EXPECT_FALSE(ud.uses_host_buffers());
 
-  const auto itb = engine::make_engine({EngineKind::kItb, 1});
-  EXPECT_EQ(itb->kind(), EngineKind::kItb);
-  EXPECT_STREQ(itb->name(), "itb");
-  EXPECT_EQ(itb->policy(), routing::Policy::kItb);
-  EXPECT_EQ(itb->lane_count(), 1u);
-  EXPECT_TRUE(itb->uses_host_buffers());
+  const DeadlockEngine itb(Policy::kItb, 1);
+  EXPECT_STREQ(itb.name(), "itb");
+  EXPECT_EQ(itb.policy(), Policy::kItb);
+  EXPECT_EQ(itb.lane_count(), 1u);
+  EXPECT_TRUE(itb.uses_host_buffers());
 
-  const auto vc = engine::make_engine({EngineKind::kVcEscape, 3});
-  EXPECT_EQ(vc->kind(), EngineKind::kVcEscape);
-  EXPECT_STREQ(vc->name(), "vc-escape");
-  EXPECT_EQ(vc->policy(), routing::Policy::kVcEscape);
-  EXPECT_EQ(vc->lane_count(), 3u);
-  EXPECT_EQ(vc->buffer_lanes_per_port(), 3u);
-  EXPECT_FALSE(vc->uses_host_buffers());
+  const DeadlockEngine vc(Policy::kVcEscape, 3);
+  EXPECT_STREQ(vc.name(), "vc-escape");
+  EXPECT_EQ(vc.policy(), Policy::kVcEscape);
+  EXPECT_EQ(vc.lane_count(), 3u);
+  EXPECT_FALSE(vc.uses_host_buffers());
 
   // The escape scheme needs at least two lanes to mean anything.
-  EXPECT_GE(engine::make_engine({EngineKind::kVcEscape, 0})->lane_count(), 2u);
-  EXPECT_STREQ(engine::to_string(EngineKind::kVcEscape), "vc-escape");
+  EXPECT_EQ(DeadlockEngine(Policy::kVcEscape, 0).lane_count(), 2u);
+  EXPECT_EQ(DeadlockEngine(Policy::kVcEscape, 1).lane_count(), 2u);
 }
 
 // ------------------------------------------------- ladder decomposition --
@@ -99,9 +95,9 @@ TEST(LaneLadder, ValleyRouteDecomposesIntoThreeSegments) {
   EXPECT_TRUE(r.in_transit_hosts.empty());
   ASSERT_EQ(r.segments.size(), 1u);
 
-  auto eng = engine::make_engine({EngineKind::kVcEscape, 3});
-  eng->bind(ud, t, {});
-  const auto lanes = engine::trunk_lanes(*eng, r);
+  DeadlockEngine eng(Policy::kVcEscape, 3);
+  eng.bind(ud, t, {});
+  const auto lanes = engine::trunk_lanes(eng, r);
   EXPECT_EQ(lanes, (std::vector<std::uint8_t>{0, 1, 1, 2}));
 }
 
@@ -122,10 +118,10 @@ TEST(LaneLadder, RouteFallsBackToUpDownWhenOutOfLanes) {
   routing::RouteTable vc3(router, routing::Policy::kVcEscape, 1, 3);
   EXPECT_DOUBLE_EQ(vc3.minimal_fraction(router), 1.0);
   for (unsigned lanes : {2u, 3u}) {
-    auto eng = engine::make_engine({EngineKind::kVcEscape, lanes});
-    eng->bind(ud, t, {});
+    DeadlockEngine eng(Policy::kVcEscape, lanes);
+    eng.bind(ud, t, {});
     const auto& table = lanes == 2 ? vc2 : vc3;
-    EXPECT_TRUE(engine::verify_deadlock_free(*eng, table, t)) << lanes;
+    EXPECT_TRUE(engine::verify_deadlock_free(eng, table, t)) << lanes;
   }
 }
 
@@ -137,20 +133,21 @@ TEST(LaneLadder, LaneSequenceIsMonotoneAndMatchesSegmentCount) {
     routing::UpDown ud(t, 0);
     routing::Router router(ud);
     routing::RouteTable table(router, routing::Policy::kVcEscape, 1, 3);
-    auto eng = engine::make_engine({EngineKind::kVcEscape, 3});
-    eng->bind(ud, t, {});
+    DeadlockEngine eng(Policy::kVcEscape, 3);
+    eng.bind(ud, t, {});
     const auto hosts = t.host_count();
     for (std::uint16_t s = 0; s < hosts; ++s)
       for (std::uint16_t d = 0; d < hosts; ++d) {
         if (s == d) continue;
         const auto& r = table.route(s, d);
         if (r.segments.empty()) continue;
-        const auto lanes = engine::trunk_lanes(*eng, r);
+        const auto lanes = engine::trunk_lanes(eng, r);
         for (std::size_t i = 1; i < lanes.size(); ++i)
           EXPECT_LE(lanes[i - 1], lanes[i]);
-        if (!lanes.empty())
+        if (!lanes.empty()) {
           EXPECT_EQ(lanes.back() + 1u,
                     router.updown_segments(r.trunk_channels));
+        }
       }
   }
 }
@@ -175,12 +172,12 @@ TEST(SolveFlags, UnrestrictedEngineReportsFullMinimalityUnspecialCased) {
 TEST(EngineCluster, VcEscapeDeliversEndToEndWithoutHostBuffers) {
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = EngineSpec{EngineKind::kVcEscape, 2};
+  cfg.policy = Policy::kVcEscape;
+  cfg.vc_lanes = 2;
   core::Cluster c(std::move(cfg));
 
   EXPECT_EQ(c.network().lane_count(), 2u);
-  EXPECT_EQ(c.deadlock_engine().kind(), EngineKind::kVcEscape);
-  EXPECT_EQ(c.nic(0).injection_lane(), 0u);
+  EXPECT_EQ(c.deadlock_engine().policy(), Policy::kVcEscape);
   EXPECT_TRUE(c.routes_deadlock_free());
 
   int got = 0;
@@ -197,13 +194,38 @@ TEST(EngineCluster, VcEscapeDeliversEndToEndWithoutHostBuffers) {
 }
 
 TEST(EngineCluster, PolicyAloneDerivesTheMatchingEngine) {
-  core::ClusterConfig cfg;
-  cfg.topology = topo::make_fig1_network();
-  cfg.policy = routing::Policy::kItb;
-  core::Cluster c(std::move(cfg));
-  EXPECT_EQ(c.deadlock_engine().kind(), EngineKind::kItb);
-  EXPECT_EQ(c.network().lane_count(), 1u);
-  EXPECT_TRUE(c.routes_deadlock_free());
+  // vc_lanes is ignored by up*/down* and ITB: both run on one lane.
+  for (const Policy policy : {Policy::kUpDown, Policy::kItb}) {
+    core::ClusterConfig cfg;
+    cfg.topology = topo::make_fig1_network();
+    cfg.policy = policy;
+    cfg.vc_lanes = 4;
+    core::Cluster c(std::move(cfg));
+    EXPECT_EQ(c.deadlock_engine().policy(), policy);
+    EXPECT_EQ(c.deadlock_engine().lane_count(), 1u);
+    EXPECT_EQ(c.network().lane_count(), 1u);
+    EXPECT_TRUE(c.routes_deadlock_free());
+  }
+}
+
+TEST(EngineCluster, SolvedLanesMatchArbitratedLanes) {
+  // A lane budget below two is clamped by the engine; the table must be
+  // solved at the clamped count the network arbitrates, not at the raw
+  // configured value (which would degrade routes to up*/down*).
+  for (const unsigned lanes : {1u, 0u}) {
+    core::ClusterConfig cfg;
+    cfg.topology = topo::make_fig1_network();
+    cfg.policy = Policy::kVcEscape;
+    cfg.vc_lanes = lanes;
+    core::Cluster c(std::move(cfg));
+    EXPECT_EQ(c.network().lane_count(), 2u) << lanes;
+    ASSERT_NE(c.route_table(), nullptr);
+    EXPECT_EQ(c.route_table()->vc_lanes(), 2u) << lanes;
+    routing::UpDown ud(c.mapper_report()->discovered, 0);
+    routing::Router router(ud);
+    EXPECT_DOUBLE_EQ(c.route_table()->minimal_fraction(router), 1.0) << lanes;
+    EXPECT_TRUE(c.routes_deadlock_free()) << lanes;
+  }
 }
 
 TEST(EngineCluster, VcEscapeChaosSoakHasNoUnrecoveredWedges) {
@@ -212,7 +234,8 @@ TEST(EngineCluster, VcEscapeChaosSoakHasNoUnrecoveredWedges) {
   // cycle with zero unrecovered stall verdicts and a reconciled ledger.
   core::ClusterConfig cfg;
   cfg.topology = topo::make_fig1_network();
-  cfg.engine = EngineSpec{EngineKind::kVcEscape, 2};
+  cfg.policy = Policy::kVcEscape;
+  cfg.vc_lanes = 2;
   cfg.gm_config.retransmit_timeout = 150 * sim::kUs;
   cfg.gm_config.max_retries = 8;
   cfg.remap_delay = 300 * sim::kUs;
@@ -252,6 +275,64 @@ TEST(EngineCluster, VcEscapeChaosSoakHasNoUnrecoveredWedges) {
   EXPECT_EQ(c.health()->verdict().unrecovered, 0u);
   ASSERT_NE(c.recovery(), nullptr);
   EXPECT_GE(c.recovery()->stats().remaps, 1u);
+}
+
+// --------------------------------------------------- recovery re-bind --
+
+TEST(EngineRecovery, RemapRebindsTheLiveEngineToTheNewOrientation) {
+  // Losing trunk 0 (switch 0 - switch 1) of the Fig. 1 network re-orients
+  // the fabric: switch 1 and its subtree drop deeper below the root. The
+  // RecoveryManager must re-bind the cluster's engine when it installs the
+  // new table, or lanes keep following the boot orientation.
+  const auto fabric = topo::make_fig1_network();
+  constexpr topo::LinkId kVictim = 0;
+  core::ClusterConfig cfg;
+  cfg.topology = fabric;
+  cfg.policy = Policy::kVcEscape;
+  cfg.vc_lanes = 2;
+  cfg.fault_schedule.link_down(kVictim, 100 * sim::kUs, 50 * sim::kMs);
+  core::Cluster c(std::move(cfg));
+  c.run(10 * sim::kMs);
+  ASSERT_NE(c.recovery(), nullptr);
+  ASSERT_EQ(c.recovery()->stats().remaps, 1u);
+  const routing::RouteTable& table = *c.recovery()->current_table();
+  const DeadlockEngine& live = c.deadlock_engine();
+
+  // The orientation the round solved under: root host 0's switch over the
+  // fabric with the victim masked. The installed table is its fresh solve.
+  std::vector<char> mask(fabric.link_count(), 1);
+  mask[kVictim] = 0;
+  const routing::UpDown ud(fabric, fabric.host_uplink(0).node.index, mask);
+  const routing::Router router(ud);
+  std::ostringstream installed, fresh;
+  table.dump(installed);
+  routing::RouteTable(router, Policy::kVcEscape, 1, 2).dump(fresh);
+  ASSERT_EQ(installed.str(), fresh.str());
+
+  // An engine still bound to the boot orientation puts some installed
+  // routes on the wrong lanes, so a missing re-bind is observable.
+  DeadlockEngine boot(Policy::kVcEscape, 2);
+  boot.bind(routing::UpDown(c.mapper_report()->discovered, 0), fabric,
+            c.mapper_report()->switch_of);
+
+  EXPECT_TRUE(engine::verify_deadlock_free(live, table, fabric));
+  int boot_mismatches = 0;
+  for (std::uint16_t s = 0; s < table.host_count(); ++s)
+    for (std::uint16_t d = 0; d < table.host_count(); ++d) {
+      if (s == d) continue;
+      const auto& r = table.route(s, d);
+      if (r.segments.empty() || r.trunk_channels.empty()) continue;
+      // The ladder: lane j carries up*/down* segment j of the new solve.
+      const auto segments = router.updown_segments(r.trunk_channels);
+      const auto lanes = engine::trunk_lanes(live, r);
+      for (std::size_t i = 1; i < lanes.size(); ++i)
+        EXPECT_LE(lanes[i - 1], lanes[i]) << s << ">" << d;
+      EXPECT_LT(lanes.back(), live.lane_count()) << s << ">" << d;
+      EXPECT_EQ(lanes.back() + 1u, segments) << s << ">" << d;
+      if (engine::trunk_lanes(boot, r).back() + 1u != segments)
+        ++boot_mismatches;
+    }
+  EXPECT_GT(boot_mismatches, 0);
 }
 
 // -------------------------------------------------- zero-alloc hot path --
@@ -303,9 +384,9 @@ TEST(ZeroAlloc, MultiLaneSteadyStateMakesNoHeapAllocations) {
   sim::EventQueue queue;
   sim::Tracer tracer;
   net::Network network(topo, net::NetTiming{}, queue, tracer);
-  auto eng = engine::make_engine({EngineKind::kVcEscape, 2});
-  eng->bind(routing::UpDown(topo, 0), topo, {});
-  network.set_lane_policy(eng.get());
+  DeadlockEngine eng(Policy::kVcEscape, 2);
+  eng.bind(routing::UpDown(topo, 0), topo, {});
+  network.set_lane_policy(&eng);
   ASSERT_EQ(network.lane_count(), 2u);
 
   std::vector<RecyclingHost::Flow> flows(4);

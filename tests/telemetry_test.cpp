@@ -228,7 +228,7 @@ TEST(MetricRegistry, FiftyThousandSlotsLookUpTheirOwnValues) {
   std::vector<telemetry::Counter> early;
   for (int i = 0; i < kSlots; ++i) {
     const telemetry::Labels l{.host = i / 16, .channel = i % 16};
-    const std::string name = "m" + std::to_string(i % 7);
+    const std::string name = 'm' + std::to_string(i % 7);
     if (i % 3 == 0) {
       reg.register_source("src", name, telemetry::MetricKind::kGauge,
                           [i] { return static_cast<double>(i); }, l);
@@ -242,7 +242,7 @@ TEST(MetricRegistry, FiftyThousandSlotsLookUpTheirOwnValues) {
   for (auto& c : early) c.inc(1'000'000);
   for (int i = 0; i < kSlots; ++i) {
     const telemetry::Labels l{.host = i / 16, .channel = i % 16};
-    const std::string name = "m" + std::to_string(i % 7);
+    const std::string name = 'm' + std::to_string(i % 7);
     const bool src = i % 3 == 0;
     const bool bumped = !src && i <= 149;  // the first 100 counters
     const double want = i + (bumped ? 1e6 : 0.0);

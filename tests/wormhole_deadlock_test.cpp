@@ -161,16 +161,16 @@ TEST(WormholeDeadlock, TwoLaneLadderMakesTheRingCdgAcyclic) {
                       Node::of_channel(ring_channel((h + 1) % 4)));
   EXPECT_TRUE(one_lane.has_cycle());
 
-  auto eng = engine::make_engine({engine::EngineKind::kVcEscape, 2});
-  eng->bind(routing::UpDown(rig.topo, 0), rig.topo, {});
+  engine::DeadlockEngine eng(routing::Policy::kVcEscape, 2);
+  eng.bind(routing::UpDown(rig.topo, 0), rig.topo, {});
   routing::DependencyGraph two_lane(rig.topo, 2);
   std::vector<std::uint8_t> second_lanes;
   for (std::uint16_t h = 0; h < 4; ++h) {
-    net::LaneState state{eng->injection_lane(h), 0};
+    net::LaneState state;
     const auto c0 = ring_channel(h);
     const auto c1 = ring_channel((h + 1) % 4);
-    const std::uint8_t l0 = eng->lane_for(state, c0);
-    const std::uint8_t l1 = eng->lane_for(state, c1);
+    const std::uint8_t l0 = eng.lane_for(state, c0);
+    const std::uint8_t l1 = eng.lane_for(state, c1);
     two_lane.add_edge(Node::of_channel(c0, l0), Node::of_channel(c1, l1));
     second_lanes.push_back(l1);
   }
@@ -185,9 +185,9 @@ TEST(WormholeDeadlock, VcEscapeLanesPreventTheRingWedge) {
   // CyclicTwoHopRoutesWedgeTheRing, but with the 2-lane escape engine
   // arbitrating — every packet must now deliver and the network drain.
   RingRig rig;
-  auto eng = engine::make_engine({engine::EngineKind::kVcEscape, 2});
-  eng->bind(routing::UpDown(rig.topo, 0), rig.topo, {});
-  rig.net->set_lane_policy(eng.get());
+  engine::DeadlockEngine eng(routing::Policy::kVcEscape, 2);
+  eng.bind(routing::UpDown(rig.topo, 0), rig.topo, {});
+  rig.net->set_lane_policy(&eng);
   for (std::uint16_t h = 0; h < 4; ++h) {
     auto pkt = packet::build_packet({1, 1, 2}, packet::PacketType::kGm,
                                     Bytes(2000, h));
@@ -215,23 +215,22 @@ TEST(WormholeDeadlock, PerLaneCdgAcyclicOnGeneratedFabricsForEveryEngine) {
     spec.hosts_per_switch = 2;
     fabrics.push_back(topo::make_random_irregular(spec, rng));
   }
-  const engine::EngineSpec specs[] = {
-      {engine::EngineKind::kUpDown, 1},
-      {engine::EngineKind::kItb, 1},
-      {engine::EngineKind::kVcEscape, 2},
-      {engine::EngineKind::kVcEscape, 3},
+  engine::DeadlockEngine engines[] = {
+      {routing::Policy::kUpDown, 1},
+      {routing::Policy::kItb, 1},
+      {routing::Policy::kVcEscape, 2},
+      {routing::Policy::kVcEscape, 3},
   };
   for (std::size_t f = 0; f < fabrics.size(); ++f) {
     const auto& t = fabrics[f];
     routing::UpDown ud(t, 0);
     routing::Router router(ud);
-    for (const auto& spec : specs) {
-      auto eng = engine::make_engine(spec);
-      eng->bind(ud, t, {});
-      routing::RouteTable table(router, eng->policy(), 1, spec.lanes);
-      EXPECT_TRUE(engine::verify_deadlock_free(*eng, table, t))
-          << "fabric " << f << " engine " << eng->name() << " lanes "
-          << spec.lanes;
+    for (auto& eng : engines) {
+      eng.bind(ud, t, {});
+      routing::RouteTable table(router, eng.policy(), 1, eng.lane_count());
+      EXPECT_TRUE(engine::verify_deadlock_free(eng, table, t))
+          << "fabric " << f << " engine " << eng.name() << " lanes "
+          << eng.lane_count();
     }
   }
 }
