@@ -15,8 +15,7 @@
 // threads (default: hardware concurrency); output is bit-identical to
 // `--jobs 1` because every run owns its cluster.
 #include <cstdio>
-#include <functional>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,21 +87,20 @@ Outcome run(int recv_buffers, bool drop_when_full, const core::Bench& bench) {
         [&remaining, &out](sim::Time t, std::uint16_t, packet::Bytes) {
           if (--remaining == 0) out.makespan = t;
         });
-    auto sent = std::make_shared<int>(0);
-    auto feed = std::make_shared<std::function<void()>>();
-    *feed = [&cluster, &out, s, d, sent, feed] {
+    sim::repeat(cluster.queue(), [&cluster, &out, s, d,
+                                  sent = 0]() mutable -> std::optional<sim::Duration> {
       auto& port = cluster.port(s);
-      while (*sent < 30) {
+      while (sent < 30) {
         const sim::Time t0 = cluster.queue().now();
         if (!port.send(d, packet::Bytes(2048, 1), [&out, t0](sim::Time t) {
               out.send_to_ack.add(static_cast<double>(t - t0));
             }))
           break;
-        ++*sent;
+        ++sent;
       }
-      if (*sent < 30) cluster.queue().schedule_in(100 * sim::kUs, *feed);
-    };
-    (*feed)();
+      if (sent < 30) return 100 * sim::kUs;
+      return std::nullopt;
+    });
   }
   cluster.run();
 

@@ -15,7 +15,7 @@
 // are UD-invalid, yet any ring route has at most one down->up transition,
 // so even a 2-lane ladder restores 100% minimality).
 //
-// `--jobs N` threads for per-source route solves (0 = hardware
+// `--jobs N` threads for per-switch route solves (0 = hardware
 // concurrency, the default). Output contains NO wall clock and no --jobs
 // echo: CI byte-compares the full stdout and JSON of --jobs 1 vs --jobs 8
 // runs.

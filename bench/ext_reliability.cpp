@@ -17,6 +17,7 @@
 // every run owns its cluster.
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -127,17 +128,15 @@ PointResult run_point(const Scenario& sc, double drop, const ChaosLevel& lvl,
   // send is refused (no token / mid-outage), retry until it is accepted.
   constexpr sim::Duration kGap = kChaosHorizon / kMessages;
   auto accepted = std::make_shared<int>(0);
-  auto feed = std::make_shared<std::function<void()>>();
-  *feed = [&c, &sc, accepted, feed] {
-    if (c.port(sc.src).peer_failed(sc.dst)) return;
+  sim::repeat(c.queue(), [&c, &sc, accepted]() -> std::optional<sim::Duration> {
+    if (c.port(sc.src).peer_failed(sc.dst)) return std::nullopt;
     Bytes m(kMessageBytes, 0);
     m[0] = static_cast<std::uint8_t>(*accepted & 0xFF);
     m[1] = static_cast<std::uint8_t>(*accepted >> 8);
     const bool sent = c.port(sc.src).send(sc.dst, std::move(m));
-    if (sent && ++*accepted >= kMessages) return;
-    c.queue().schedule_in(sent ? kGap : 50 * sim::kUs, [feed] { (*feed)(); });
-  };
-  (*feed)();
+    if (sent && ++*accepted >= kMessages) return std::nullopt;
+    return sent ? kGap : 50 * sim::kUs;
+  });
   c.run();
 
   PointResult r;

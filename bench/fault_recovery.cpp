@@ -16,7 +16,7 @@
 // table install, probe/solve costs charged per probe and per source),
 // probe and source ratios, and the engine counters.
 //
-// `--jobs N`       threads for per-source route solves (0 = hw concurrency)
+// `--jobs N`       threads for per-switch route solves (0 = hw concurrency)
 // `--max-hosts N`  skip sweep points with more than N hosts (CI runs 256)
 // `--routes-out P` append the post-chaos scoped table dump (points <= 256)
 //                  — CI byte-compares --jobs 1 vs --jobs 8

@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "itb/mapper/mapper.hpp"
 #include "itb/packet/crc.hpp"
 #include "itb/routing/deadlock.hpp"
+#include "itb/sim/alloc_hook.hpp"
 #include "itb/sim/event_queue.hpp"
 #include "itb/sim/rng.hpp"
 #include "itb/topo/builders.hpp"
@@ -142,6 +144,35 @@ void BM_ItbRouteTable(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ItbRouteTable)->Arg(8)->Arg(16);
+
+// The thousand-host solve: a k-ary fat tree (k = range(0); ft16 has 1024
+// hosts) at range(1) jobs. Times the solve alone (the table is destroyed
+// with the clock paused) and reports the heap allocations per stored route.
+void BM_ItbRouteTableFatTree(benchmark::State& state) {
+  const auto topo = topo::make_fat_tree(static_cast<std::uint8_t>(state.range(0)));
+  routing::UpDown ud(topo);
+  routing::Router router(ud);
+  const auto jobs = static_cast<unsigned>(state.range(1));
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const auto before = sim::total_allocations();
+    std::optional<routing::RouteTable> table;
+    table.emplace(router, routing::Policy::kItb, jobs);
+    allocs += sim::total_allocations() - before;
+    benchmark::DoNotOptimize(table);
+    state.PauseTiming();
+    table.reset();
+    state.ResumeTiming();
+  }
+  const double hosts = static_cast<double>(topo.host_count());
+  state.counters["allocs_per_route"] =
+      static_cast<double>(allocs) /
+      (static_cast<double>(state.iterations()) * hosts * (hosts - 1));
+}
+BENCHMARK(BM_ItbRouteTableFatTree)
+    ->Args({16, 1})
+    ->Args({16, 4})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MapperDiscovery(benchmark::State& state) {
   sim::Rng rng(7);

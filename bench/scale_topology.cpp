@@ -10,12 +10,12 @@
 //   clos     — two-level leaf-spine
 //   ring     — the worst case for up*/down* detours
 // and per point reports: mapper probe count and discovery wall-clock, route
-// solve wall-clock for both policies (parallel per-source solves, --jobs),
+// solve wall-clock for both policies (parallel per-switch solves, --jobs),
 // static route metrics (trunk hops, minimal fraction, ITBs/route, peak and
 // spanning-tree-root channel usage), and a short uniform-traffic run with
 // accepted throughput + latency for up*/down* vs ITB.
 //
-// `--jobs N`       threads for the per-source route solves (0 = hardware
+// `--jobs N`       threads for the per-switch route solves (0 = hardware
 //                  concurrency, the default). Tables are bit-identical for
 //                  any value.
 // `--max-hosts N`  skip sweep points with more than N hosts (CI runs 256).

@@ -72,7 +72,7 @@ struct ClusterConfig {
   fault::RecoveryTuning recovery;
   /// Host that runs the mapper.
   std::uint16_t mapper_root_host = 0;
-  /// Threads for the mapper's per-source route solves (0 = hardware
+  /// Threads for the mapper's per-switch route solves (0 = hardware
   /// concurrency). The table is bit-identical for any value; the default
   /// stays serial so clusters built inside parallel sweep workers do not
   /// oversubscribe. The scale bench raises it for thousand-host fabrics.

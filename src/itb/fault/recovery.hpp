@@ -101,7 +101,7 @@ class RecoveryManager {
     /// same round without postponing it (leading edge, not debounce — a
     /// flap train can no longer starve recovery forever).
     sim::Duration remap_delay = 500 * sim::kUs;
-    /// Threads for the per-source route solves of a round (0 = hardware
+    /// Threads for the per-switch route solves of a round (0 = hardware
     /// concurrency). Tables are jobs-invariant.
     unsigned route_jobs = 1;
     RecoveryTuning tuning;

@@ -94,7 +94,7 @@ ReachabilityMap rediscover_scoped(const topo::Topology& fabric,
 /// Full mapper run: discover, orient (root = first discovered switch),
 /// compute the all-pairs table under `policy`. The returned table's routes
 /// are valid on the real fabric because the discovered graph is
-/// port-faithful. `route_jobs` fans the per-source route solves across
+/// port-faithful. `route_jobs` fans the per-switch route solves across
 /// that many threads (0 = hardware concurrency); the table is bit-identical
 /// for any value, so it defaults to 1 — callers inside an already-parallel
 /// sweep stay single-threaded, the scale bench opts in.

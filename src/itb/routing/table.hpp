@@ -37,11 +37,12 @@ struct PatchStats {
 class RouteTable {
  public:
   /// Compute routes for every ordered host pair under `policy`. Each source
-  /// host is one multi-destination solve (Router::routes_from); `jobs` fans
-  /// the sources across that many threads (0 = hardware concurrency). Every
-  /// source writes only its own row, and the row content depends only on
-  /// (router, policy, src), so the table is bit-identical for any job count
-  /// — CI byte-compares jobs=1 against jobs=8 dumps to hold that line.
+  /// switch is one multi-destination search shared by the hosts on it
+  /// (Router::solve_rows); `jobs` fans the switches across that many
+  /// threads (0 = hardware concurrency). Every task writes only its own
+  /// hosts' rows, and the row content depends only on (router, policy,
+  /// src), so the table is bit-identical for any job count — CI
+  /// byte-compares jobs=1 against jobs=8 dumps to hold that line.
   /// `vc_lanes` parameterises Policy::kVcEscape (ignored otherwise): routes
   /// whose up*/down* segment count exceeds it fall back to plain up*/down*.
   explicit RouteTable(const Router& router, Policy policy, unsigned jobs = 1,
@@ -56,9 +57,9 @@ class RouteTable {
   /// Mean switch-switch hops over all pairs (src != dst).
   double average_trunk_hops() const;
 
-  /// Fraction of pairs routed minimally. The per-source minimal distances
-  /// also solve one search per source; `jobs` parallelises them the same
-  /// way as the constructor (result is jobs-invariant).
+  /// Fraction of pairs routed minimally. The minimal distances take one
+  /// unrestricted search per source switch; `jobs` parallelises them the
+  /// same way as the constructor (result is jobs-invariant).
   double minimal_fraction(const Router& router, unsigned jobs = 1) const;
 
   /// Mean ITBs per route (0 for kUpDown).
@@ -127,7 +128,7 @@ class RouteTable {
   /// Solve-generation shortcut: each distinct (usability, orientation)
   /// graph state is interned once; a source records the state it was last
   /// actually re-solved under. A patch whose target state matches a
-  /// source's solve state skips it outright — routes_from is a pure
+  /// source's solve state skips it outright — its row is a pure
   /// function of that state, so the stored row IS the re-solve result.
   /// This is what makes the close of a clean down->up fault cycle free:
   /// restoring a link returns to the boot state, and every source that was
@@ -141,7 +142,13 @@ class RouteTable {
   std::vector<std::uint64_t> solved_gen_;  // per source; empty until enabled
 
   std::uint64_t intern_state(const Router& router);
-  void index_source(const Router& router, std::uint16_t src);
+  /// Write the rows of one source group (see source_groups in table.cpp):
+  /// one shared per-switch solve, or empty rows for unusable sources.
+  void solve_group(const Router& router,
+                   const std::vector<std::uint16_t>& group);
+  /// Rebuild the reverse-index entries of one group's sources.
+  void index_group(const Router& router,
+                   const std::vector<std::uint16_t>& group);
 
   std::size_t index(std::uint16_t src, std::uint16_t dst) const;
 };

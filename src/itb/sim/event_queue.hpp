@@ -26,6 +26,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -198,5 +199,17 @@ class EventQueue {
 
   Stats stats_;
 };
+
+/// Call `step()` now, then again each time the delay it returns has
+/// passed, until it returns std::nullopt. The pending event owns the step
+/// outright (it moves from event to event), so nothing refers back to it:
+/// it is freed when it stops, or with the queue if it is still pending.
+template <typename Step>
+void repeat(EventQueue& queue, Step step) {
+  if (const std::optional<Duration> delay = step())
+    queue.schedule_in(*delay, [&queue, step = std::move(step)]() mutable {
+      repeat(queue, std::move(step));
+    });
+}
 
 }  // namespace itb::sim

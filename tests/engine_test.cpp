@@ -8,8 +8,8 @@
 // tables.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "itb/core/cluster.hpp"
@@ -256,16 +256,14 @@ TEST(EngineCluster, VcEscapeChaosSoakHasNoUnrecoveredWedges) {
   c.port(5).set_receive_handler(
       [&got](sim::Time, std::uint16_t, Bytes) { ++got; });
   auto accepted = std::make_shared<int>(0);
-  auto feed = std::make_shared<std::function<void()>>();
-  *feed = [&c, accepted, feed] {
-    if (c.port(0).peer_failed(5)) return;
+  sim::repeat(c.queue(), [&c, accepted]() -> std::optional<sim::Duration> {
+    if (c.port(0).peer_failed(5)) return std::nullopt;
     while (*accepted < 30 &&
            c.port(0).send(5, Bytes(1000, static_cast<std::uint8_t>(*accepted))))
       ++*accepted;
-    if (*accepted < 30)
-      c.queue().schedule_in(100 * sim::kUs, [feed] { (*feed)(); });
-  };
-  (*feed)();
+    if (*accepted < 30) return 100 * sim::kUs;
+    return std::nullopt;
+  });
   c.run();
 
   EXPECT_GT(got, 0);

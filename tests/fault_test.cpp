@@ -3,6 +3,7 @@
 // degraded fabric, and GM masking (or gracefully reporting) the damage.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -33,16 +34,16 @@ int feed_messages(core::Cluster& c, std::uint16_t src, std::uint16_t dst,
     });
   }
   auto accepted = std::make_shared<int>(0);
-  auto feed = std::make_shared<std::function<void()>>();
-  *feed = [&c, src, dst, count, size, accepted, feed] {
-    if (c.port(src).peer_failed(dst)) return;
+  sim::repeat(c.queue(), [&c, src, dst, count, size,
+                          accepted]() -> std::optional<sim::Duration> {
+    if (c.port(src).peer_failed(dst)) return std::nullopt;
     while (*accepted < count &&
            c.port(src).send(
                dst, Bytes(size, static_cast<std::uint8_t>(*accepted))))
       ++*accepted;
-    if (*accepted < count) c.queue().schedule_in(100 * sim::kUs, [feed] { (*feed)(); });
-  };
-  (*feed)();
+    if (*accepted < count) return 100 * sim::kUs;
+    return std::nullopt;
+  });
   c.run();
   return *accepted;
 }
@@ -253,13 +254,13 @@ TEST(FaultRecovery, ItbHostFailureMidPathReroutesWithoutItb) {
     last_delivery = t;
   });
   int next = 0;
-  std::function<void()> feeder = [&] {
+  sim::repeat(c.queue(), [&]() -> std::optional<sim::Duration> {
     while (next < 40 &&
            c.port(4).send(1, Bytes(900, static_cast<std::uint8_t>(next))))
       ++next;
-    if (next < 40) c.queue().schedule_in(100 * sim::kUs, feeder);
-  };
-  feeder();
+    if (next < 40) return 100 * sim::kUs;
+    return std::nullopt;
+  });
   c.run();
 
   ASSERT_EQ(obs.order.size(), 40u);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -39,17 +40,16 @@ int feed_messages(core::Cluster& c, std::uint16_t src, std::uint16_t dst,
     });
   }
   auto accepted = std::make_shared<int>(0);
-  auto feed = std::make_shared<std::function<void()>>();
-  *feed = [&c, src, dst, count, size, accepted, feed] {
-    if (c.port(src).peer_failed(dst)) return;
+  sim::repeat(c.queue(), [&c, src, dst, count, size,
+                          accepted]() -> std::optional<sim::Duration> {
+    if (c.port(src).peer_failed(dst)) return std::nullopt;
     while (*accepted < count &&
            c.port(src).send(dst,
                             Bytes(size, static_cast<std::uint8_t>(*accepted))))
       ++*accepted;
-    if (*accepted < count)
-      c.queue().schedule_in(100 * sim::kUs, [feed] { (*feed)(); });
-  };
-  (*feed)();
+    if (*accepted < count) return 100 * sim::kUs;
+    return std::nullopt;
+  });
   c.run();
   return *accepted;
 }

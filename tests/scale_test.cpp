@@ -230,29 +230,107 @@ TEST(ParallelSolve, TableIsBitIdenticalForAnyJobCount) {
   spec.switches = 16;
   const auto t = topo::make_random_irregular(spec, rng);
   routing::UpDown ud(t);
-  routing::Router router(ud);
-  for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb}) {
-    const routing::RouteTable serial(router, policy, 1);
-    const routing::RouteTable wide(router, policy, 8);
-    EXPECT_EQ(dump_of(serial), dump_of(wide)) << to_string(policy);
-    EXPECT_DOUBLE_EQ(serial.minimal_fraction(router, 1),
-                     wide.minimal_fraction(router, 8));
+  for (auto selection : {routing::ItbHostSelection::kLowestIndex,
+                         routing::ItbHostSelection::kSpread}) {
+    routing::Router router(ud, selection);
+    for (auto policy : {routing::Policy::kUpDown, routing::Policy::kItb,
+                        routing::Policy::kVcEscape}) {
+      const routing::RouteTable serial(router, policy, 1, 2);
+      for (unsigned jobs : {3u, 8u}) {
+        const routing::RouteTable wide(router, policy, jobs, 2);
+        EXPECT_EQ(dump_of(serial), dump_of(wide))
+            << to_string(policy) << " jobs " << jobs;
+        EXPECT_DOUBLE_EQ(serial.minimal_fraction(router, 1),
+                         wide.minimal_fraction(router, jobs));
+      }
+    }
   }
 }
 
-TEST(ParallelSolve, PerSourceRowsMatchPerPairRoutes) {
-  const auto t = topo::make_ring(12, 2);
-  routing::UpDown ud(t);
-  routing::Router router(ud);
-  const routing::RouteTable table(router, routing::Policy::kItb, 4);
-  for (std::uint16_t s = 0; s < t.host_count(); ++s)
-    for (std::uint16_t d = 0; d < t.host_count(); ++d) {
+// Every stored row against a fresh per-pair solve: the per-switch search is
+// shared by a switch's hosts, the per-pair one is not.
+void expect_rows_match_pair_routes(const routing::Router& router,
+                                   const routing::RouteTable& table,
+                                   routing::Policy policy) {
+  const auto hosts = router.topology().host_count();
+  for (std::uint16_t s = 0; s < hosts; ++s)
+    for (std::uint16_t d = 0; d < hosts; ++d) {
       if (s == d) continue;
-      const auto pair = router.itb_route(s, d);
+      const auto pair = policy == routing::Policy::kItb
+                            ? router.itb_route(s, d)
+                            : router.updown_route(s, d);
       const auto& row = table.route(s, d);
-      EXPECT_EQ(row.segments, pair.segments);
-      EXPECT_EQ(row.in_transit_hosts, pair.in_transit_hosts);
+      EXPECT_EQ(row.segments, pair.segments) << s << ">" << d;
+      EXPECT_EQ(row.in_transit_hosts, pair.in_transit_hosts) << s << ">" << d;
+      EXPECT_EQ(row.trunk_channels, pair.trunk_channels) << s << ">" << d;
     }
+}
+
+TEST(ParallelSolve, PerSourceRowsMatchPerPairRoutes) {
+  const auto ring = topo::make_ring(12, 2);
+  routing::UpDown ring_ud(ring);
+  routing::Router ring_router(ring_ud);
+  expect_rows_match_pair_routes(
+      ring_router, routing::RouteTable(ring_router, routing::Policy::kItb, 4),
+      routing::Policy::kItb);
+
+  // Four hosts per switch under kSpread: switch-mates share one search but
+  // each pair hashes to its own in-transit host.
+  sim::Rng rng(17);
+  topo::IrregularSpec spec;
+  spec.switches = 12;
+  spec.hosts_per_switch = 4;
+  const auto cow = topo::make_random_irregular(spec, rng);
+  routing::UpDown cow_ud(cow);
+  routing::Router spread(cow_ud, routing::ItbHostSelection::kSpread);
+  for (auto policy : {routing::Policy::kItb, routing::Policy::kUpDown}) {
+    const routing::RouteTable table(spread, policy, 3);
+    expect_rows_match_pair_routes(spread, table, policy);
+    if (policy == routing::Policy::kItb) {  // the ITB host pick is exercised
+      EXPECT_GT(table.average_itbs(), 0.0);
+    }
+  }
+}
+
+TEST(ParallelSolve, DownedUplinkEmptiesOnlyThatHostsRow) {
+  // Host 1's uplink is down; hosts 0, 2 and 3 share its switch and keep
+  // theirs. The per-switch solve must leave host 1's row and column empty
+  // and give its switch-mates the rows a per-pair solve gives them.
+  sim::Rng rng(23);
+  topo::IrregularSpec spec;
+  spec.switches = 8;
+  spec.hosts_per_switch = 4;
+  const auto t = topo::make_random_irregular(spec, rng);
+  const auto sw = t.host_uplink(1).node.index;
+  std::vector<char> up(t.link_count(), 1);
+  up[*t.link_at(topo::host_id(1), 0)] = 0;
+  routing::UpDown ud(t, 0, up);
+  routing::Router router(ud, routing::ItbHostSelection::kSpread);
+  ASSERT_FALSE(router.host_usable(1));
+  const routing::RouteTable table(router, routing::Policy::kItb, 3);
+
+  std::size_t mates = 0;
+  for (std::uint16_t s = 0; s < t.host_count(); ++s) {
+    if (s == 1 || t.host_uplink(s).node.index != sw) continue;
+    ++mates;
+    for (std::uint16_t d = 0; d < t.host_count(); ++d) {
+      if (d == s) continue;
+      if (d == 1) {
+        EXPECT_TRUE(table.route(s, d).segments.empty());
+        continue;
+      }
+      const auto pair = router.itb_route(s, d);
+      EXPECT_EQ(table.route(s, d).segments, pair.segments) << s << ">" << d;
+      EXPECT_EQ(table.route(s, d).in_transit_hosts, pair.in_transit_hosts);
+      EXPECT_EQ(table.route(s, d).trunk_channels, pair.trunk_channels);
+    }
+  }
+  EXPECT_EQ(mates, 3u);
+  for (std::uint16_t d = 0; d < t.host_count(); ++d) {
+    if (d != 1) {
+      EXPECT_TRUE(table.route(1, d).segments.empty()) << d;
+    }
+  }
 }
 
 TEST(ParallelSolve, MapperRunIsJobsInvariant) {
