@@ -1,6 +1,7 @@
 #include "itb/sim/alloc_hook.hpp"
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 
@@ -20,8 +21,24 @@
 namespace itb::sim {
 namespace {
 
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_deallocs{0};
+// Counters are sharded by thread, one cache line per shard: with a single
+// shared counter every allocation of a parallel route solve bounced the
+// same line between cores, and a 4-job ft16 solve took longer than the
+// serial one. A thread takes its shard on its first allocation.
+constexpr std::size_t kShards = 64;
+struct alignas(64) Shard {
+  std::atomic<std::uint64_t> allocs{0};
+  std::atomic<std::uint64_t> deallocs{0};
+};
+Shard g_shards[kShards];
+
+std::uint64_t sum(std::atomic<std::uint64_t> Shard::*counter) {
+  std::uint64_t n = 0;
+  for (const Shard& s : g_shards)
+    n += (s.*counter).load(std::memory_order_relaxed);
+  return n;
+}
+
 std::atomic<std::uint64_t> g_mark{0};
 std::atomic<bool> g_marked{false};
 
@@ -36,11 +53,11 @@ bool alloc_counting_available() {
 }
 
 std::uint64_t total_allocations() {
-  return g_allocs.load(std::memory_order_relaxed);
+  return sum(&Shard::allocs);
 }
 
 std::uint64_t total_deallocations() {
-  return g_deallocs.load(std::memory_order_relaxed);
+  return sum(&Shard::deallocs);
 }
 
 void mark_steady_state() {
@@ -63,14 +80,25 @@ std::uint64_t allocations_since_mark() {
 
 namespace {
 
+using itb::sim::kShards;
+
+std::atomic<std::size_t> g_next_shard{0};
+thread_local std::size_t t_shard = kShards;  // kShards = not yet assigned
+
+itb::sim::Shard& this_thread_shard() {
+  if (t_shard == kShards)
+    t_shard = g_next_shard.fetch_add(1, std::memory_order_relaxed) % kShards;
+  return itb::sim::g_shards[t_shard];
+}
+
 void* counted_alloc(std::size_t size) noexcept {
-  itb::sim::g_allocs.fetch_add(1, std::memory_order_relaxed);
+  this_thread_shard().allocs.fetch_add(1, std::memory_order_relaxed);
   // malloc(0) may return nullptr; operator new must not.
   return std::malloc(size ? size : 1);
 }
 
 void* counted_alloc_aligned(std::size_t size, std::size_t align) noexcept {
-  itb::sim::g_allocs.fetch_add(1, std::memory_order_relaxed);
+  this_thread_shard().allocs.fetch_add(1, std::memory_order_relaxed);
   // aligned_alloc requires size to be a multiple of the alignment.
   const std::size_t rounded = (size + align - 1) / align * align;
   return std::aligned_alloc(align, rounded ? rounded : align);
@@ -78,7 +106,7 @@ void* counted_alloc_aligned(std::size_t size, std::size_t align) noexcept {
 
 void counted_free(void* p) noexcept {
   if (!p) return;
-  itb::sim::g_deallocs.fetch_add(1, std::memory_order_relaxed);
+  this_thread_shard().deallocs.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }
 

@@ -6,18 +6,21 @@
 // operator new/delete with counting forwarders to malloc/free.
 //
 // Linking behavior is deliberate: the replacement operators live in
-// alloc_hook.cpp next to the counter accessors, so a binary only gets the
-// counting allocator if it references one of the functions below (the
-// archive member is pulled in as a unit). Binaries that never ask for a
-// count keep the stock allocator.
+// alloc_hook.cpp next to the counter accessors, so a binary gets the
+// counting allocator when anything it links references one of the
+// functions below (the archive member is pulled in as a unit). The mapper
+// and the telemetry exporter do, so every binary that builds a Cluster
+// counts.
 //
 // Under ASan/TSan/MSan the replacement is compiled out entirely — the
 // sanitizer runtimes own the allocator there — and alloc_counting_available()
 // reports false so tests can skip their zero-allocation asserts instead of
 // reading counters frozen at zero.
 //
-// Counting is a single relaxed atomic increment per allocation: cheap enough
-// to leave on, exact enough to assert `== 0` against.
+// Counting is a single relaxed atomic increment per allocation, on a
+// counter of the calling thread's own (cache-line sized) shard: cheap enough
+// to leave on, also under parallel route solves, and exact enough to
+// assert `== 0` against.
 #pragma once
 
 #include <cstdint>
